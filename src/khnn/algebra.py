@@ -73,13 +73,25 @@ class StructureConstants:
         return np.einsum("i,ijk->kj", w, self._tensor)
 
     def to_entries(self):
-        """Non-unit rows of the tensor as an entry map (round-trips exactly)."""
+        """The tensor as an entry map that round-trips it exactly.
+
+        Lists every non-zero product e_i e_j with i, j >= 1, and a product
+        touching e_0 only where it differs from the unit law's implied
+        e_0 e_j = e_j, e_i e_0 = e_i; an all-zero override is written as
+        one zero term. Such overrides load through :func:`load_algebra`,
+        not :func:`from_entries`.
+        """
         entries = {}
         n = self.dim
-        for i in range(1, n):
-            for j in range(1, n):
-                terms = [(int(k), float(self._tensor[i, j, k]))
-                         for k in np.nonzero(self._tensor[i, j])[0]]
+        eye = np.eye(n)
+        for i in range(n):
+            for j in range(n):
+                row = self._tensor[i, j]
+                terms = [(int(k), float(row[k])) for k in np.nonzero(row)[0]]
+                if i == 0 or j == 0:
+                    if np.array_equal(row, eye[i + j]):   # the implied unit row
+                        continue
+                    terms = terms or [(0, 0.0)]
                 if terms:
                     entries[(i, j)] = terms
         return entries
@@ -321,42 +333,49 @@ for _name, (_entries, _dim) in _PREDEFINED_ENTRIES.items():
 
 
 # ---------------------------------------------------------------------------
-# JSON algebra files: {"name": str, "dim": int, "entries": [[i, j, k, coeff]...]}
-# with unit rows implicit. Entries are written sorted by (i, j, k) so the
-# output is byte-stable.
+# Algebra documents, the JSON form of algebra files and of the algebras
+# embedded in model files: {"name": str, "dim": int, "entries": [[i, j, k,
+# coeff]...]} with unit rows implicit unless overridden. Entries are
+# written sorted by (i, j, k) so the output is byte-stable.
 
-def save_algebra(algebra, path):
-    rows = []
-    for (i, j), terms in algebra.to_entries().items():
-        for k, c in terms:
-            rows.append([i, j, k, c])
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    doc = {"name": algebra.name, "dim": algebra.dim, "entries": rows}
-    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+def algebra_to_doc(algebra):
+    """The algebra as a JSON-ready document that round-trips its tensor exactly."""
+    rows = sorted([i, j, k, c] for (i, j), terms in algebra.to_entries().items()
+                  for k, c in terms)
+    return {"name": algebra.name, "dim": algebra.dim, "entries": rows}
 
 
-def load_algebra(path):
-    """Load an algebra file.
+def algebra_from_doc(doc, source="algebra document"):
+    """Rebuild an algebra from :func:`algebra_to_doc` output.
 
     Unlike :func:`from_entries`, rows that touch the unit are accepted
     here (overriding the implied unit rows) so that deliberately broken
     tables can be loaded and then reported on by the law checks.
     """
+    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
+        raise AlgebraError(f"{source} lacks 'dim'/'entries' keys")
+    entries: dict[tuple[int, int], list] = {}
+    for row in doc["entries"]:
+        if not (isinstance(row, list) and len(row) == 4):
+            raise AlgebraError(f"{source}: bad entry row {row!r}")
+        i, j, k, c = row
+        entries.setdefault((int(i), int(j)), []).append((int(k), float(c)))
+    tensor = _tensor_from_entries(entries, int(doc["dim"]), allow_unit_rows=True)
+    return StructureConstants.from_tensor(tensor, name=doc.get("name"))
+
+
+def save_algebra(algebra, path):
+    write_atomic(path, json.dumps(algebra_to_doc(algebra), indent=2) + "\n")
+
+
+def load_algebra(path):
+    """Load an algebra file written by :func:`save_algebra` or by hand."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise AlgebraError(f"cannot read algebra file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise AlgebraError(f"algebra file {path} lacks 'dim'/'entries' keys")
-    entries: dict[tuple[int, int], list] = {}
-    for row in doc["entries"]:
-        if not (isinstance(row, list) and len(row) == 4):
-            raise AlgebraError(f"algebra file {path}: bad entry row {row!r}")
-        i, j, k, c = row
-        entries.setdefault((int(i), int(j)), []).append((int(k), float(c)))
-    tensor = _tensor_from_entries(entries, int(doc["dim"]), allow_unit_rows=True)
-    return StructureConstants.from_tensor(tensor, name=doc.get("name"))
+    return algebra_from_doc(doc, source=f"algebra file {path}")
 
 
 def write_atomic(path, text):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .algebra import StructureConstants, write_atomic
+from .algebra import algebra_from_doc, algebra_to_doc, write_atomic
 from .tensor import ShapeError, Tensor, no_grad
 
 FORMAT_VERSION = 1
@@ -114,22 +114,6 @@ class Sequential:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _algebra_doc(algebra):
-    rows = []
-    for (i, j), terms in algebra.to_entries().items():
-        for k, c in terms:
-            rows.append([i, j, k, c])
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return {"name": algebra.name, "dim": algebra.dim, "entries": rows}
-
-
-def _algebra_from_doc(doc):
-    entries: dict[tuple[int, int], list] = {}
-    for i, j, k, c in doc["entries"]:
-        entries.setdefault((int(i), int(j)), []).append((int(k), float(c)))
-    return StructureConstants(entries, dim=int(doc["dim"]), name=doc.get("name"))
-
-
 def _layer_doc(layer):
     kind_map = {
         L.HyperDense: "hyper_dense",
@@ -147,11 +131,11 @@ def _layer_doc(layer):
     algebra = None
     config: dict = {}
     if kind == "hyper_dense":
-        algebra = _algebra_doc(layer.algebra)
+        algebra = algebra_to_doc(layer.algebra)
         config = {"units": layer.units, "activation": layer.activation,
                   "in_elems": layer.in_elems, "dtype": layer.dtype.name}
     elif kind.startswith("hyper_conv"):
-        algebra = _algebra_doc(layer.algebra)
+        algebra = algebra_to_doc(layer.algebra)
         stride = layer.stride
         config = {"filters": layer.filters, "kernel_size": list(layer.kernel_size),
                   "stride": list(stride) if isinstance(stride, tuple) else stride,
@@ -174,7 +158,7 @@ def _layer_from_doc(doc):
     config = doc.get("config", {})
     rng = np.random.default_rng(0)  # placeholder init, overwritten by weights
     if kind == "hyper_dense":
-        algebra = _algebra_from_doc(doc["algebra"])
+        algebra = algebra_from_doc(doc["algebra"])
         layer = L.HyperDense(config["units"], algebra=algebra,
                              activation=config.get("activation"),
                              dtype=config.get("dtype", "float64"))
@@ -182,7 +166,7 @@ def _layer_from_doc(doc):
             layer.build((config["in_elems"] * algebra.dim,), rng)
         return layer
     if kind in ("hyper_conv1d", "hyper_conv2d", "hyper_conv3d"):
-        algebra = _algebra_from_doc(doc["algebra"])
+        algebra = algebra_from_doc(doc["algebra"])
         cls = {"hyper_conv1d": L.HyperConv1D, "hyper_conv2d": L.HyperConv2D,
                "hyper_conv3d": L.HyperConv3D}[kind]
         stride = config["stride"]

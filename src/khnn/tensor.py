@@ -51,8 +51,11 @@ def _coerce(data, dtype=None):
 class Tensor:
     """A dense real array, optionally participating in the gradient tape.
 
-    ``grad`` accumulates across ``backward()`` calls until reset with
-    ``zero_grad``, mirroring the usual step/zero optimizer cycle.
+    Only leaves hold a gradient: tensors made with ``requires_grad=True``
+    rather than by an operation. On a leaf, ``grad`` accumulates across
+    ``backward()`` calls until reset with ``zero_grad``, mirroring the
+    usual step/zero optimizer cycle. On an operation's result it stays
+    None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -105,7 +108,11 @@ class Tensor:
         return mean(self, axis=axis)
 
     def backward(self):
-        """Accumulate d(self)/d(t) into t.grad for every recorded tensor."""
+        """Accumulate d(self)/d(t) into t.grad for every leaf t of the tape.
+
+        Gradients of intermediate results flow through the walk and are
+        freed as soon as they are consumed; none is stored on them.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
@@ -132,10 +139,10 @@ class Tensor:
             g = flowing.pop(id(node), None)
             if g is None:
                 continue
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
             if node._backward is None:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -283,27 +290,20 @@ def mean(x, axis=None):
 def reduce_max(x, axis=None):
     """Max reduction; ties route the gradient to the first maximum."""
     x = _wrap(x)
-    if axis is None:
-        out = x.data.max()
-        flat_idx = int(x.data.argmax())
+    data = x.data.reshape(-1) if axis is None else x.data
+    axis = 0 if axis is None else axis
+    if not (_grad_enabled and x.requires_grad):
+        return Tensor(data.max(axis=axis))
+    # one pass: the max is read off at the argmax the backward needs anyway
+    idx = np.expand_dims(data.argmax(axis=axis), axis)
+    out = np.take_along_axis(data, idx, axis=axis).squeeze(axis)
 
-        def backward(g):
-            dx = np.zeros_like(x.data)
-            dx.flat[flat_idx] = g
-            return (dx,)
+    def backward(g):
+        dx = np.zeros_like(data)
+        np.put_along_axis(dx, idx, np.expand_dims(g, axis), axis=axis)
+        return (dx.reshape(x.data.shape),)
 
-        return _result(out, (x,), backward)
-
-    out = x.data.max(axis=axis)
-    idx = x.data.argmax(axis=axis)
-
-    def backward_axis(g):
-        dx = np.zeros_like(x.data)
-        np.put_along_axis(dx, np.expand_dims(idx, axis),
-                          np.expand_dims(g, axis), axis=axis)
-        return (dx,)
-
-    return _result(out, (x,), backward_axis)
+    return _result(out, (x,), backward)
 
 
 def reshape(x, *shape):
@@ -413,54 +413,70 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     return stride, pads, out
 
 
+def _im2col(xp, ksize, stride, out_spatial):
+    """Patch matrix (B*prod(O), prod(K)*C) of the padded input xp.
+
+    Row (b, o) holds the patch under output position o, ordered
+    (K1..Kd, C) to match kernel.reshape(-1, C_out).
+    """
+    d = len(ksize)
+    win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(1, d + 1)))
+    # the view has one window per input position; keep every stride-th,
+    # exactly out_spatial of them per axis
+    win = win[(slice(None), *(slice(0, (o - 1) * st + 1, st)
+                              for o, st in zip(out_spatial, stride)))]
+    win = np.moveaxis(win, d + 1, -1)           # (B, O.., C, K..) -> (B, O.., K.., C)
+    return win.reshape(-1, int(np.prod(ksize)) * xp.shape[-1])
+
+
 def conv_nd(x, kernel, stride=1, padding="valid"):
     """Cross-correlation, channels last.
 
     x: (B, S1..Sd, C_in), kernel: (K1..Kd, C_in, C_out) with d in {1,2,3}.
     'valid' keeps positions where the kernel fits; 'same' zero-pads so the
-    output spatial size is ceil(S / stride).
+    output spatial size is ceil(S / stride). The output has x's dtype.
+
+    Lowered by im2col to one GEMM, (B*prod(O), prod(K)*C_in) @
+    (prod(K)*C_in, C_out); the backward is one GEMM per operand, with
+    the input gradient scattered back over the patches (col2im).
     """
     x, kernel = _wrap(x), _wrap(kernel)
     stride, pads, out_spatial = _conv_geometry(x.data.shape, kernel.data.shape,
                                                stride, padding)
-    d = len(out_spatial)
     xp = x.data
     if any(lo or hi for lo, hi in pads):
         xp = np.pad(x.data, ((0, 0), *pads, (0, 0)))
 
     kdata = kernel.data
-    c_out = kdata.shape[-1]
-    offsets = list(itertools.product(*(range(k) for k in kdata.shape[:-2])))
-    out = np.zeros((x.data.shape[0], *out_spatial, c_out), dtype=xp.dtype)
-
-    def patch_slices(off):
-        return tuple(slice(o, o + (n - 1) * st + 1, st)
-                     for o, n, st in zip(off, out_spatial, stride))
-
-    for off in offsets:
-        patch = xp[(slice(None), *patch_slices(off))]
-        out += patch @ kdata[off]
+    ksize, c_out = kdata.shape[:-2], kdata.shape[-1]
+    kmat = kdata.reshape(-1, c_out)
+    out_shape = (x.data.shape[0], *out_spatial, c_out)
+    out = (_im2col(xp, ksize, stride, out_spatial) @ kmat).astype(xp.dtype, copy=False)
 
     def backward(g):
+        # the patch matrix is rebuilt here rather than kept on the tape:
+        # holding it would keep a prod(K)-fold copy of the input per conv
+        g = g.reshape(-1, c_out)
         dx = dk = None
+        if kernel.requires_grad:
+            dk = (_im2col(xp, ksize, stride, out_spatial).T @ g).reshape(kdata.shape)
         if x.requires_grad:
-            dxp = np.zeros_like(xp)
-            for off in offsets:
-                dxp[(slice(None), *patch_slices(off))] += g @ kdata[off].T
+            # col2im, channels first: each offset's block of the patch
+            # gradients is then contiguous and adds in long runs
+            c_in = xp.shape[-1]
+            dcols = (kmat @ g.T).reshape(*ksize, c_in, *out_shape[:-1])
+            dxp = np.zeros((c_in, *xp.shape[:-1]), dtype=xp.dtype)
+            for off in itertools.product(*(range(k) for k in ksize)):
+                patch = tuple(slice(o, o + (n - 1) * st + 1, st)
+                              for o, n, st in zip(off, out_spatial, stride))
+                dxp[(slice(None), slice(None), *patch)] += dcols[off]
             inner = tuple(slice(lo, lo + s) for (lo, _), s
                           in zip(pads, x.data.shape[1:-1]))
-            dx = dxp[(slice(None), *inner)]
-            if dx.base is not None:
-                dx = dx.copy()
-        if kernel.requires_grad:
-            dk = np.zeros_like(kdata)
-            sum_axes = tuple(range(d + 1))
-            for off in offsets:
-                patch = xp[(slice(None), *patch_slices(off))]
-                dk[off] = np.tensordot(patch, g, axes=(sum_axes, sum_axes))
+            dx = dxp[(slice(None), slice(None), *inner)]   # drop the padding
+            dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1))
         return dx, dk
 
-    return _result(out, (x, kernel), backward)
+    return _result(out.reshape(out_shape), (x, kernel), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -68,17 +68,19 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        # moments keyed by the parameter itself: the strong reference keeps
+        # its id from being reused, so no two parameters share a state
+        self._m: dict[Tensor, np.ndarray] = {}
+        self._v: dict[Tensor, np.ndarray] = {}
 
     def step(self, params):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(params):
+        for p in params:
             if p.grad is None:
                 raise RuntimeError("parameter has no gradient; run backward first")
-            m = self._m.setdefault(i, np.zeros_like(p.data))
-            v = self._v.setdefault(i, np.zeros_like(p.data))
+            m = self._m.setdefault(p, np.zeros_like(p.data))
+            v = self._v.setdefault(p, np.zeros_like(p.data))
             m += (1.0 - self.beta1) * (p.grad - m)
             v += (1.0 - self.beta2) * (p.grad * p.grad - v)
             m_hat = m / (1.0 - self.beta1 ** t)
@@ -116,11 +118,32 @@ class TrainHistory:
         write_atomic(path, "\n".join(lines) + "\n")
 
 
+def _check_data(x, y):
+    """x as a float array (float32 kept) and y as float64, checked together.
+
+    Bad data fails here, naming the argument, rather than later as a
+    shape error inside the loss or as a diverged loss.
+    """
+    x = np.asarray(x)
+    if x.dtype not in (np.float32, np.float64):
+        x = x.astype(np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim == 0 or y.ndim == 0:
+        raise ValueError(f"x and y need a batch axis, got shapes {x.shape} and {y.shape}")
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
+    for name, arr in (("x", x), ("y", y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} contains NaN or Inf")
+    return x, y
+
+
 def evaluate(model, x, y, loss_fn=bce_loss):
     """Loss and accuracy on held-out data, without gradient recording."""
+    x, y = _check_data(x, y)
     with no_grad():
-        pred = model.forward(Tensor(np.asarray(x, dtype=np.float64)))
-        loss = loss_fn(pred, Tensor(np.asarray(y, dtype=np.float64)))
+        pred = model.forward(Tensor(x))
+        loss = loss_fn(pred, Tensor(y))
     return float(loss.data), accuracy(pred, y)
 
 
@@ -136,10 +159,9 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    x = np.asarray(x)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = _check_data(x, y)
+    if validation is not None:
+        validation = _check_data(*validation)
     if seed is not None and not model.built and model.seed is None:
         model.seed = seed
     count = x.shape[0]

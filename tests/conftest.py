@@ -8,6 +8,17 @@ import itertools
 
 import numpy as np
 
+try:
+    from hypothesis import settings
+except ImportError:     # the property suites skip themselves without it
+    pass
+else:
+    # fixed examples and no example database, so every run checks the same
+    # cases and leaves no files behind
+    settings.register_profile("khnn", derandomize=True, database=None,
+                              max_examples=30, deadline=None)
+    settings.load_profile("khnn")
+
 
 def naive_conv_nd(x, kernel, stride=1, padding="valid"):
     """Direct nested-loop cross-correlation, channels last."""

@@ -253,6 +253,20 @@ class TestAlgebraFiles:
         with pytest.raises(AlgebraError):
             load_algebra(path)
 
+    def test_unit_row_overrides_survive_resave(self, tmp_path):
+        # rows touching e_0 are accepted on load, so they must be written
+        # back; an all-zero override is written as a zero term
+        path = tmp_path / "nonunital.json"
+        path.write_text(json.dumps(
+            {"dim": 2, "entries": [[0, 1, 1, -1.0], [1, 1, 0, -1.0]]}))
+        first = load_algebra(path)
+        save_algebra(first, path)
+        npt.assert_array_equal(load_algebra(path).tensor, first.tensor)
+        zeroed = np.array(first.tensor)
+        zeroed[1, 0] = 0.0
+        save_algebra(StructureConstants.from_tensor(zeroed), path)
+        npt.assert_array_equal(load_algebra(path).tensor, zeroed)
+
     def test_unit_violating_file_loads(self, tmp_path):
         # check tooling needs to be able to inspect broken tables
         path = tmp_path / "broken.json"

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from khnn.algebra import from_entries, predefined
+from khnn.algebra import StructureConstants, from_entries, predefined
 from khnn.layers import (
     Activation,
     Dense,
@@ -186,6 +186,19 @@ class TestSerialization:
         loaded = load_model(path)
         assert loaded.layers[0].algebra.name == "my-custom-plane"
         assert loaded.layers[0].algebra == predefined("complex")
+        npt.assert_array_equal(loaded.predict(x), before)
+
+    def test_non_unital_algebra_roundtrip_exact(self, tmp_path):
+        tensor = np.array(predefined("complex").tensor)
+        tensor[0, 1] = [0.0, -1.0]          # e_0 e_1 = -e_1
+        algebra = StructureConstants.from_tensor(tensor, name="skewed")
+        model = Sequential([HyperDense(2, algebra=algebra)], seed=12)
+        x = np.random.default_rng(3).standard_normal((3, 4))
+        before = model.predict(x)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        npt.assert_array_equal(loaded.layers[0].algebra.tensor, tensor)
         npt.assert_array_equal(loaded.predict(x), before)
 
     def test_unbuilt_model_roundtrip(self, tmp_path):

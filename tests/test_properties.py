@@ -1,0 +1,159 @@
+"""Property-based checks over drawn geometries, dtypes and algebras.
+
+The examples are fixed by the derandomized profile in conftest.py, so
+every run checks the same cases.
+"""
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from khnn import tensor as T  # noqa: E402
+from khnn.algebra import StructureConstants, load_algebra, save_algebra  # noqa: E402
+from khnn.layers import Dense, GlobalMaxPool, HyperConv2D  # noqa: E402
+from khnn.model import Sequential  # noqa: E402
+from khnn.tensor import Tensor  # noqa: E402
+from khnn.training import bce_loss  # noqa: E402
+
+from conftest import naive_conv_nd  # noqa: E402
+
+
+@st.composite
+def conv_cases(draw, max_kernel=3, max_channels=3):
+    """(x, kernel, stride, padding) for a random 1-3 D geometry.
+
+    'same' inputs may be smaller than the kernel; 'valid' ones fit it.
+    """
+    d = draw(st.integers(1, 3))
+    padding = draw(st.sampled_from(["valid", "same"]))
+    ksize = tuple(draw(st.integers(1, max_kernel)) for _ in range(d))
+    stride = tuple(draw(st.integers(1, 2)) for _ in range(d))
+    extra = 3 if d < 3 else 1
+    spatial = tuple(draw(st.integers(1 if padding == "same" else k, k + extra))
+                    for k in ksize)
+    batch = draw(st.integers(1, 2))
+    c_in = draw(st.integers(1, max_channels))
+    c_out = draw(st.integers(1, max_channels))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((batch, *spatial, c_in))
+    kernel = rng.standard_normal((*ksize, c_in, c_out))
+    return x, kernel, stride, padding
+
+
+class TestConvProperties:
+    @given(conv_cases(), st.sampled_from([np.float64, np.float32]))
+    def test_matches_naive_loops(self, case, dtype):
+        x, kernel, stride, padding = case
+        x, kernel = x.astype(dtype), kernel.astype(dtype)
+        out = T.conv_nd(Tensor(x), Tensor(kernel), stride=stride, padding=padding)
+        # the reference runs in float64 on the same (exactly embedded) values
+        expected = naive_conv_nd(x.astype(np.float64), kernel.astype(np.float64),
+                                 stride=stride, padding=padding)
+        assert out.data.dtype == dtype
+        assert out.data.shape == expected.shape
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        npt.assert_allclose(out.data, expected, rtol=tol, atol=tol)
+
+    @given(conv_cases(max_kernel=2, max_channels=2))
+    def test_gradients_both_operands(self, case):
+        # both operands record, so one backward runs the kernel GEMM and
+        # the col2im scatter for the input together. Positive values and a
+        # kernel scaled by its fan-in keep tanh unsaturated and every
+        # gradient coordinate clear of zero, where central differences
+        # cannot reach a 1e-6 relative error
+        x, kernel, stride, padding = case
+        fan_in = kernel[..., 0].size
+        x = Tensor(0.5 + np.abs(x) % 1.0, requires_grad=True)
+        k = Tensor((0.5 + np.abs(kernel) % 1.0) / fan_in, requires_grad=True)
+
+        def loss_x(t):
+            return T.tensor_sum(T.tanh(T.conv_nd(t, k, stride=stride, padding=padding)))
+
+        def loss_k(t):
+            return T.tensor_sum(T.tanh(T.conv_nd(x, t, stride=stride, padding=padding)))
+
+        assert T.finite_diff_check(loss_x, x) < 1e-6
+        assert T.finite_diff_check(loss_k, k) < 1e-6
+
+
+def tape_nodes(root):
+    """Every tensor reachable from root through recorded parents."""
+    seen, todo = {}, [root]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t._parents)
+    return list(seen.values())
+
+
+def reference_leaf_grads(root):
+    """Leaf gradients by an independent walk that sums every node's gradient.
+
+    Accumulates into a dict rather than .grad, in the reverse of a
+    depth-first finishing order.
+    """
+    order, done = [], set()
+
+    def visit(t):
+        if id(t) in done or not t.requires_grad:
+            return
+        done.add(id(t))
+        for p in t._parents:
+            visit(p)
+        order.append(t)
+
+    visit(root)
+    grads = {id(root): np.ones_like(root.data)}
+    for t in reversed(order):
+        g = grads.get(id(t))
+        if g is None or t._backward is None:
+            continue
+        for p, pg in zip(t._parents, t._backward(g)):
+            if pg is not None and p.requires_grad:
+                grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
+    return grads
+
+
+class TestLeafOnlyGradients:
+    @given(st.integers(0, 2**32 - 1))
+    def test_intermediates_hold_no_grad(self, seed):
+        rng = np.random.default_rng(seed)
+        model = Sequential([HyperConv2D(2, (2, 2), algebra="complex"),
+                            GlobalMaxPool(), Dense(1)], seed=seed)
+        x = rng.standard_normal((3, 4, 4, 2))
+        y = (rng.random((3, 1)) < 0.5).astype(np.float64)
+        loss = bce_loss(T.sigmoid(model.forward(Tensor(x))), Tensor(y))
+        expected = reference_leaf_grads(loss)
+        loss.backward()
+
+        nodes = tape_nodes(loss)
+        leaves = [t for t in nodes if t.requires_grad and t._backward is None]
+        assert {id(p) for p in model.params()} == {id(t) for t in leaves}
+        for t in nodes:
+            if t._backward is not None:
+                assert t.grad is None
+        for t in leaves:
+            npt.assert_array_equal(t.grad, expected[id(t)])
+
+
+# unit rows may be anything here, so the drawn tensors are mostly not unital
+algebra_tensors = st.integers(1, 4).flatmap(lambda n: arrays(
+    np.float64, (n, n, n),
+    elements=st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False))))
+
+
+class TestAlgebraFileProperties:
+    @given(algebra_tensors)
+    def test_file_roundtrip_is_exact(self, tmp_path_factory, tensor):
+        alg = StructureConstants.from_tensor(tensor, name="drawn")
+        path = tmp_path_factory.mktemp("alg") / "alg.json"
+        save_algebra(alg, path)
+        loaded = load_algebra(path)
+        npt.assert_array_equal(loaded.tensor, tensor)
+        assert loaded.name == "drawn"

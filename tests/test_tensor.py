@@ -62,6 +62,20 @@ class TestReductionsAndShapes:
         out = T.reduce_max(Tensor([[1.0, 5.0], [3.0, 2.0]]), axis=1)
         npt.assert_array_equal(out.data, [5.0, 3.0])
 
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    def test_reduce_max_ties_route_to_first(self, axis):
+        data = np.array([[2.0, 7.0, 7.0], [7.0, 1.0, 7.0]])
+        x = Tensor(data, requires_grad=True)
+        out = T.reduce_max(x, axis=axis)
+        with T.no_grad():
+            untaped = T.reduce_max(x, axis=axis)
+        npt.assert_array_equal(out.data, data.max(axis=axis))
+        npt.assert_array_equal(untaped.data, data.max(axis=axis))
+        T.tensor_sum(out).backward()
+        first = {None: [[0, 1, 0], [0, 0, 0]], 0: [[0, 1, 1], [1, 0, 0]],
+                 1: [[0, 1, 0], [1, 0, 0]], -1: [[0, 1, 0], [1, 0, 0]]}[axis]
+        npt.assert_array_equal(x.grad, first)
+
     def test_reshape_and_flatten(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert T.flatten(x).data.shape == (2, 12)

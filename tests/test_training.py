@@ -91,7 +91,23 @@ class TestOptimizers:
             w.grad = np.ones(3)
             opt.step([w])
         assert opt.step_count == 5
-        assert opt._m[0].shape == (3,)
+        assert opt._m[w].shape == (3,)
+
+    def test_adam_state_follows_the_parameter_not_its_position(self):
+        # stepping different parameter lists must neither collide on shape
+        # nor let one parameter's moments leak into another's update
+        def second_update(first_grad):
+            opt = Adam(lr=0.1)
+            a = Tensor(np.ones(2), requires_grad=True)
+            b = Tensor(np.ones(2), requires_grad=True)
+            c = Tensor(np.ones(3), requires_grad=True)
+            a.grad, b.grad, c.grad = np.array(first_grad), np.array([1.0, -2.0]), np.ones(3)
+            opt.step([a])
+            opt.step([c])
+            opt.step([b])
+            return b.data
+
+        npt.assert_array_equal(second_update([5.0, 5.0]), second_update([-3.0, 0.5]))
 
     def test_missing_grad_raises(self):
         w = Tensor([1.0], requires_grad=True)
@@ -200,6 +216,43 @@ class TestFit:
         history = fit(model, x, y, epochs=200, optimizer=Adam(lr=0.01))
         assert history.accuracy[-1] == 1.0
         assert model.params()[0].data.dtype == np.float32
+
+    @pytest.mark.parametrize("run", ["fit", "evaluate", "validation"])
+    def test_row_count_mismatch_names_the_arguments(self, run):
+        model = linear_probe_model(seed=12)
+        x, y = np.zeros((3, 1)), np.zeros((4, 1))
+        with pytest.raises(ValueError, match="x has 3 rows but y has 4"):
+            if run == "fit":
+                fit(model, x, y, epochs=1, optimizer=SGD())
+            elif run == "evaluate":
+                evaluate(model, x, y)
+            else:
+                fit(model, y, y, epochs=1, optimizer=SGD(), validation=(x, y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_named_not_diverged(self, bad):
+        model = linear_probe_model(seed=13)
+        x = np.array([[1.0], [bad]])
+        y = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="x contains NaN or Inf"):
+            fit(model, x, y, epochs=1, optimizer=SGD())
+        with pytest.raises(ValueError, match="x contains NaN or Inf"):
+            evaluate(model, x, y)
+        with pytest.raises(ValueError, match="x contains NaN or Inf"):
+            fit(model, y, y, epochs=1, optimizer=SGD(), validation=(x, y))
+
+    def test_evaluate_keeps_float32_input(self):
+        model = Sequential([Dense(1, dtype=np.float32), Activation("sigmoid")], seed=14)
+        x = np.array([[-1.0], [1.0]], dtype=np.float32)
+        y = np.array([[0.0], [1.0]])
+        seen = []
+
+        def recording_loss(pred, target):
+            seen.append(pred.data.dtype)
+            return bce_loss(pred, target)
+
+        evaluate(model, x, y, loss_fn=recording_loss)
+        assert seen == [np.float32]
 
     def test_evaluate_matches_manual(self):
         x = np.array([[-1.0], [1.0]])
