@@ -3,9 +3,9 @@
 A hyper layer holds one algebra element per (output unit, input element)
 slot and multiplies with the weight on the left: out_a = sum_b w[a,b] * x_b.
 The whole layer is lowered to an ordinary real computation by expanding
-each weight element into its left-multiplication matrix, so a HyperDense
-with u units over m input elements becomes a (u*n, m*n) block matrix and
-a HyperConv becomes a real kernel with n-times-wider channel blocks.
+each weight element into its left-multiplication matrix: a HyperDense
+with u units over m input elements becomes an (m*n, u*n) matrix W, used
+as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -26,13 +26,6 @@ from .tensor import ShapeError, Tensor
 _ACTIVATIONS = {"tanh": T.tanh, "sigmoid": T.sigmoid}
 
 
-def _resolve_activation(activation):
-    if activation is None or activation in _ACTIVATIONS:
-        return activation
-    raise ValueError(f"unknown activation {activation!r}; "
-                     f"choose from {sorted(_ACTIVATIONS)} or None")
-
-
 def _resolve_algebra(algebra):
     if algebra is None:
         return predefined("quaternions")
@@ -48,6 +41,9 @@ def glorot_uniform(shape, fan_in, fan_out, rng):
 
 class Layer:
     """Base layer: build once from the input shape, then forward."""
+
+    file_tag = None         # the layer's "kind" in model files
+    shape_key = "in_shape"  # the config() key recording the built input shape
 
     def __init__(self, seed=None, dtype=np.float64):
         self.built = False
@@ -76,6 +72,24 @@ class Layer:
     def param_count(self):
         return int(sum(p.data.size for p in self.params()))
 
+    def config(self):
+        """Model-file settings: constructor arguments and the built input shape."""
+        return {"in_shape": self.in_shape}
+
+    @classmethod
+    def from_config(cls, config, **algebra):
+        """The layer a config() dict describes, built if it records a shape."""
+        args = dict(config)
+        recorded = args.pop(cls.shape_key, None)
+        layer = cls(**args, **algebra)
+        if recorded is not None:
+            # placeholder weights, which load_model overwrites
+            layer.build(layer._shape_from(recorded), np.random.default_rng(0))
+        return layer
+
+    def _shape_from(self, recorded):
+        return tuple(recorded)
+
     def _param(self, values):
         return Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
 
@@ -86,55 +100,87 @@ class Layer:
         return self.forward(x)
 
 
-def assemble_block_matrix(weights, algebra):
-    """Expand (u, m, n) weight elements into the real (u*n, m*n) matrix.
+class _Affine(Layer):
+    """A layer computing activation(self._linear(x) + bias)."""
 
-    Block (a, b) is the left-multiplication matrix of weights[a, b], so
-    multiplying the block matrix against a stacked coordinate vector
-    equals the per-element algebra products.
+    def __init__(self, activation, seed, dtype):
+        super().__init__(seed, dtype)
+        if activation is not None and activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; "
+                             f"choose from {sorted(_ACTIVATIONS)} or None")
+        self.activation = activation
+        self.weights = None
+        self.bias = None
+
+    def forward(self, x):
+        out = T.add_bias(self._linear(x), self.bias)
+        if self.activation:
+            out = _ACTIVATIONS[self.activation](out)
+        return out
+
+    def params(self):
+        return [self.weights, self.bias] if self.built else []
+
+
+def _expand(weights, algebra, axes):
+    """Blocks E[..., j, k] = sum_i weights[..., i] * A[i, j, k], permuted by axes.
+
+    Each block is the transposed left-multiplication matrix of one
+    element, and all of them come from one GEMM against A as (n, n*n).
     """
-    u, m, n = weights.data.shape
+    *lead, n = weights.data.shape
     if n != algebra.dim:
         raise ShapeError(f"weight element width {n} != algebra dim {algebra.dim}")
-    blocks = T.einsum_linear("abi,ijk->akbj", "akbj,ijk->abi",
-                             weights, algebra.tensor)
-    return T.reshape(blocks, (u * n, m * n))
+    table = Tensor(algebra.tensor.reshape(n, n * n), dtype=weights.data.dtype)
+    blocks = T.matmul(T.reshape(weights, (-1, n)), table)
+    return T.permute(T.reshape(blocks, (*lead, n, n)), axes)
+
+
+def assemble_block_matrix(weights, algebra):
+    """Expand (u, m, n) weight elements into the real (m*n, u*n) matrix W.
+
+    Block (b, a) of W is the transposed left-multiplication matrix of
+    weights[a, b], so x @ W, with each row of x holding m stacked
+    coordinate vectors, equals the per-element algebra products.
+    """
+    u, m, n = weights.data.shape
+    # (a, b, j, k) -> (b, j, a, k)
+    return T.reshape(_expand(weights, algebra, (1, 2, 0, 3)), (m * n, u * n))
 
 
 def assemble_conv_kernel(weights, algebra):
     """Expand (K.., G, F, n) weight elements into a (K.., G*n, F*n) kernel.
 
     At every spatial offset the (input group g, filter f) channel block
-    is the left-multiplication matrix of weights[offset, g, f], laid out
-    so conv_nd over the result equals the algebra-valued convolution.
+    is the transposed left-multiplication matrix of weights[offset, g, f],
+    the same orientation as assemble_block_matrix, so conv_nd over the
+    result equals the algebra-valued convolution.
     """
     *ksize, groups, filters, n = weights.data.shape
-    if n != algebra.dim:
-        raise ShapeError(f"weight element width {n} != algebra dim {algebra.dim}")
-    flat = T.reshape(weights, (-1, groups, filters, n))
-    blocks = T.einsum_linear("pgfi,ijk->pgjfk", "pgjfk,ijk->pgfi",
-                             flat, algebra.tensor)
+    d = len(ksize)
+    # (K.., g, f, j, k) -> (K.., g, j, f, k)
+    blocks = _expand(weights, algebra, (*range(d), d, d + 2, d + 1, d + 3))
     return T.reshape(blocks, (*ksize, groups * n, filters * n))
 
 
-class HyperDense(Layer):
+class HyperDense(_Affine):
     """Dense layer whose weights are algebra elements.
 
     Input width must be a multiple of the algebra dimension n; each row
     is read as m = width/n elements and the output is units*n wide.
     """
 
+    file_tag = "hyper_dense"
+    shape_key = "in_elems"
+
     def __init__(self, units, algebra=None, activation=None, input_shape=None,
                  seed=None, dtype=np.float64):
-        super().__init__(seed, dtype)
+        super().__init__(activation, seed, dtype)
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
         self.algebra = _resolve_algebra(algebra)
-        self.activation = _resolve_activation(activation)
         self.in_elems = None
-        self.weights = None
-        self.bias = None
         if input_shape is not None:
             self.build(tuple(input_shape), np.random.default_rng(seed))
 
@@ -156,28 +202,28 @@ class HyperDense(Layer):
         self.out_shape = (fan_out,)
         self.built = True
 
-    def forward(self, x):
+    def _linear(self, x):
         if x.data.ndim != 2 or x.data.shape[1] != self.in_shape[0]:
             raise ShapeError(f"{self.name} built for width {self.in_shape[0]}, "
                              f"got input shape {x.data.shape}")
-        block = assemble_block_matrix(self.weights, self.algebra)
-        out = T.add_bias(T.matmul(x, T.transpose(block)), self.bias)
-        if self.activation:
-            out = _ACTIVATIONS[self.activation](out)
-        return out
+        return T.matmul(x, assemble_block_matrix(self.weights, self.algebra))
 
-    def params(self):
-        return [self.weights, self.bias] if self.built else []
+    def config(self):
+        return {"units": self.units, "activation": self.activation,
+                "in_elems": self.in_elems, "dtype": self.dtype.name}
+
+    def _shape_from(self, elems):
+        return (elems * self.algebra.dim,)
 
 
-class _HyperConv(Layer):
+class _HyperConv(_Affine):
     """Shared machinery for the 1D/2D/3D hypercomplex convolutions."""
 
     ndim = None
 
     def __init__(self, filters, kernel_size, algebra=None, stride=1,
                  padding="valid", activation=None, seed=None, dtype=np.float64):
-        super().__init__(seed, dtype)
+        super().__init__(activation, seed, dtype)
         if filters < 1:
             raise ValueError(f"filters must be >= 1, got {filters}")
         self.filters = int(filters)
@@ -190,10 +236,6 @@ class _HyperConv(Layer):
         self.stride = stride
         self.padding = padding
         self.algebra = _resolve_algebra(algebra)
-        self.activation = _resolve_activation(activation)
-        self.in_groups = None
-        self.weights = None
-        self.bias = None
 
     def build(self, in_shape, rng):
         n = self.algebra.dim
@@ -204,12 +246,11 @@ class _HyperConv(Layer):
         if channels % n != 0:
             raise ShapeError(f"{self.name}: {channels} input channels are not a "
                              f"multiple of algebra dim {n}")
-        self.in_groups = channels // n
         receptive = int(np.prod(self.kernel_size))
         fan_in = receptive * channels
         fan_out = receptive * self.filters * n
         self.weights = self._param(glorot_uniform(
-            (*self.kernel_size, self.in_groups, self.filters, n),
+            (*self.kernel_size, channels // n, self.filters, n),
             fan_in, fan_out, rng))
         self.bias = self._param(np.zeros(self.filters * n))
         self.in_shape = tuple(in_shape)
@@ -220,41 +261,43 @@ class _HyperConv(Layer):
         self.out_shape = (*out_spatial, self.filters * n)
         self.built = True
 
-    def forward(self, x):
+    def _linear(self, x):
         kernel = assemble_conv_kernel(self.weights, self.algebra)
-        out = T.conv_nd(x, kernel, stride=self.stride, padding=self.padding)
-        out = T.add_bias(out, self.bias)
-        if self.activation:
-            out = _ACTIVATIONS[self.activation](out)
-        return out
+        return T.conv_nd(x, kernel, stride=self.stride, padding=self.padding)
 
-    def params(self):
-        return [self.weights, self.bias] if self.built else []
+    def config(self):
+        return {"filters": self.filters, "kernel_size": self.kernel_size,
+                "stride": self.stride, "padding": self.padding,
+                "activation": self.activation, "in_shape": self.in_shape,
+                "dtype": self.dtype.name}
 
 
 class HyperConv1D(_HyperConv):
     ndim = 1
+    file_tag = "hyper_conv1d"
 
 
 class HyperConv2D(_HyperConv):
     ndim = 2
+    file_tag = "hyper_conv2d"
 
 
 class HyperConv3D(_HyperConv):
     ndim = 3
+    file_tag = "hyper_conv3d"
 
 
-class Dense(Layer):
+class Dense(_Affine):
     """Ordinary real dense layer, y = x @ W + b."""
 
+    file_tag = "dense"
+    shape_key = "in_width"
+
     def __init__(self, units, activation=None, seed=None, dtype=np.float64):
-        super().__init__(seed, dtype)
+        super().__init__(activation, seed, dtype)
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
-        self.activation = _resolve_activation(activation)
-        self.weights = None
-        self.bias = None
 
     def build(self, in_shape, rng):
         if len(in_shape) != 1:
@@ -268,17 +311,21 @@ class Dense(Layer):
         self.out_shape = (self.units,)
         self.built = True
 
-    def forward(self, x):
-        out = T.add_bias(T.matmul(x, self.weights), self.bias)
-        if self.activation:
-            out = _ACTIVATIONS[self.activation](out)
-        return out
+    def _linear(self, x):
+        return T.matmul(x, self.weights)
 
-    def params(self):
-        return [self.weights, self.bias] if self.built else []
+    def config(self):
+        return {"units": self.units, "activation": self.activation,
+                "in_width": self.in_shape[0] if self.built else None,
+                "dtype": self.dtype.name}
+
+    def _shape_from(self, width):
+        return (width,)
 
 
 class Activation(Layer):
+    file_tag = "activation"
+
     def __init__(self, kind):
         super().__init__()
         if kind not in _ACTIVATIONS:
@@ -289,9 +336,18 @@ class Activation(Layer):
     def forward(self, x):
         return _ACTIVATIONS[self.kind](x)
 
+    def config(self):
+        return {"activation": self.kind}
+
+    @classmethod
+    def from_config(cls, config):
+        return cls(config["activation"])
+
 
 class GlobalMaxPool(Layer):
     """Global max over all spatial axes, (B, S.., C) -> (B, C)."""
+
+    file_tag = "global_max_pool"
 
     def build(self, in_shape, rng):
         if len(in_shape) < 2:
@@ -306,6 +362,8 @@ class GlobalMaxPool(Layer):
 
 
 class Flatten(Layer):
+    file_tag = "flatten"
+
     def build(self, in_shape, rng):
         self.in_shape = tuple(in_shape)
         self.out_shape = (int(np.prod(in_shape)),)

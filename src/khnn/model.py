@@ -4,6 +4,11 @@ Model files are single self-contained JSON documents: layer configs
 (including shapes inferred at build time), each hyper layer's algebra
 table embedded in full, and every parameter as base64 little-endian
 float64 in enumeration order (layer order, weights before bias).
+
+A layer is {"kind": file_tag, "config": config(), "algebra": document or
+null}. A layer class joins the registry LAYER_CLASSES with a unique
+file_tag and a config() keyed by its constructor arguments plus its
+shape_key, which Layer.from_config reads back, algebra as a keyword.
 """
 
 from __future__ import annotations
@@ -114,86 +119,29 @@ class Sequential:
 # ---------------------------------------------------------------------------
 # serialization
 
+LAYER_CLASSES = (L.HyperDense, L.HyperConv1D, L.HyperConv2D, L.HyperConv3D,
+                 L.Dense, L.Activation, L.GlobalMaxPool, L.Flatten)
+_BY_TAG = {cls.file_tag: cls for cls in LAYER_CLASSES}
+
+
 def _layer_doc(layer):
-    kind_map = {
-        L.HyperDense: "hyper_dense",
-        L.HyperConv1D: "hyper_conv1d",
-        L.HyperConv2D: "hyper_conv2d",
-        L.HyperConv3D: "hyper_conv3d",
-        L.Dense: "dense",
-        L.Activation: "activation",
-        L.GlobalMaxPool: "global_max_pool",
-        L.Flatten: "flatten",
-    }
-    kind = kind_map.get(type(layer))
-    if kind is None:
+    if type(layer) not in LAYER_CLASSES:
         raise ValueError(f"cannot serialize layer of type {type(layer).__name__}")
-    algebra = None
-    config: dict = {}
-    if kind == "hyper_dense":
-        algebra = algebra_to_doc(layer.algebra)
-        config = {"units": layer.units, "activation": layer.activation,
-                  "in_elems": layer.in_elems, "dtype": layer.dtype.name}
-    elif kind.startswith("hyper_conv"):
-        algebra = algebra_to_doc(layer.algebra)
-        stride = layer.stride
-        config = {"filters": layer.filters, "kernel_size": list(layer.kernel_size),
-                  "stride": list(stride) if isinstance(stride, tuple) else stride,
-                  "padding": layer.padding, "activation": layer.activation,
-                  "in_shape": list(layer.in_shape) if layer.built else None,
-                  "dtype": layer.dtype.name}
-    elif kind == "dense":
-        config = {"units": layer.units, "activation": layer.activation,
-                  "in_width": layer.in_shape[0] if layer.built else None,
-                  "dtype": layer.dtype.name}
-    elif kind == "activation":
-        config = {"activation": layer.kind}
-    elif kind in ("global_max_pool", "flatten"):
-        config = {"in_shape": list(layer.in_shape) if layer.built else None}
-    return {"kind": kind, "config": config, "algebra": algebra}
+    algebra = getattr(layer, "algebra", None)
+    return {"kind": layer.file_tag, "config": layer.config(),
+            "algebra": None if algebra is None else algebra_to_doc(algebra)}
 
 
 def _layer_from_doc(doc):
-    kind = doc["kind"]
-    config = doc.get("config", {})
-    rng = np.random.default_rng(0)  # placeholder init, overwritten by weights
-    if kind == "hyper_dense":
-        algebra = algebra_from_doc(doc["algebra"])
-        layer = L.HyperDense(config["units"], algebra=algebra,
-                             activation=config.get("activation"),
-                             dtype=config.get("dtype", "float64"))
-        if config.get("in_elems") is not None:
-            layer.build((config["in_elems"] * algebra.dim,), rng)
-        return layer
-    if kind in ("hyper_conv1d", "hyper_conv2d", "hyper_conv3d"):
-        algebra = algebra_from_doc(doc["algebra"])
-        cls = {"hyper_conv1d": L.HyperConv1D, "hyper_conv2d": L.HyperConv2D,
-               "hyper_conv3d": L.HyperConv3D}[kind]
-        stride = config["stride"]
-        layer = cls(config["filters"], tuple(config["kernel_size"]),
-                    algebra=algebra,
-                    stride=tuple(stride) if isinstance(stride, list) else stride,
-                    padding=config["padding"],
-                    activation=config.get("activation"),
-                    dtype=config.get("dtype", "float64"))
-        if config.get("in_shape") is not None:
-            layer.build(tuple(config["in_shape"]), rng)
-        return layer
-    if kind == "dense":
-        layer = L.Dense(config["units"], activation=config.get("activation"),
-                        dtype=config.get("dtype", "float64"))
-        if config.get("in_width") is not None:
-            layer.build((config["in_width"],), rng)
-        return layer
-    if kind == "activation":
-        return L.Activation(config["activation"])
-    if kind in ("global_max_pool", "flatten"):
-        cls = L.GlobalMaxPool if kind == "global_max_pool" else L.Flatten
-        layer = cls()
-        if config.get("in_shape") is not None:
-            layer.build(tuple(config["in_shape"]), rng)
-        return layer
-    raise ModelLoadError(f"unknown layer kind {kind!r}")
+    cls = _BY_TAG.get(doc["kind"])
+    if cls is None:
+        raise ModelLoadError(f"unknown layer kind {doc['kind']!r}")
+    algebra = {} if doc.get("algebra") is None else {
+        "algebra": algebra_from_doc(doc["algebra"])}
+    layer = cls.from_config(doc.get("config", {}), **algebra)
+    if hasattr(layer, "algebra") and not algebra:
+        raise ModelLoadError(f"{doc['kind']} layer has no algebra")
+    return layer
 
 
 def save_model(model, path):
@@ -213,26 +161,27 @@ def load_model(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelLoadError(f"model file {path} holds no JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelLoadError(f"unsupported format_version {version!r} "
                              f"(expected {FORMAT_VERSION})")
     try:
         model = Sequential([_layer_from_doc(d) for d in doc["layers"]])
-        blobs = doc["weights"]
-    except (KeyError, TypeError, ValueError) as exc:
+        raws = [base64.b64decode(blob) for blob in doc["weights"]]
+    except (KeyError, TypeError, ValueError) as exc:   # binascii.Error included
         if isinstance(exc, ModelLoadError):
             raise
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
     params = model.params()
-    if len(blobs) != len(params):
-        raise ModelLoadError(f"model file {path} holds {len(blobs)} parameter "
+    if len(raws) != len(params):
+        raise ModelLoadError(f"model file {path} holds {len(raws)} parameter "
                              f"blobs, expected {len(params)}")
-    for p, blob in zip(params, blobs):
-        raw = base64.b64decode(blob)
+    for p, raw in zip(params, raws):
         if len(raw) != p.data.size * 8:
-            raise ModelLoadError(f"parameter blob holds {len(raw)} bytes, "
-                                 f"expected {p.data.size * 8}")
+            raise ModelLoadError(f"model file {path}: parameter blob holds "
+                                 f"{len(raw)} bytes, expected {p.data.size * 8}")
         decoded = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
         p.data = decoded.astype(p.data.dtype)
     return model

@@ -92,11 +92,12 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
+    # Python scalars go to add() as they are, so they keep this tensor's dtype
     def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
+        return add(self, -other if np.isscalar(other) else neg(_wrap(other)))
 
     def __rsub__(self, other):
-        return add(neg(self), _wrap(other))
+        return add(neg(self), other)
 
     def reshape(self, *shape):
         return reshape(self, *shape)
@@ -345,31 +346,19 @@ def matmul(a, b):
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
     return _result(a.data @ b.data, (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+                   lambda g: (g @ b.data.T if a.requires_grad else None,
+                              a.data.T @ g if b.requires_grad else None))
 
 
-def transpose(x):
-    x = _wrap(x)
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose is 2-D only, got {x.data.shape}")
-    # contiguous copy so downstream matmul takes the same BLAS path as a
-    # directly-constructed matrix (keeps the n=1 reduction bit-exact)
-    return _result(np.ascontiguousarray(x.data.T), (x,),
-                   lambda g: (np.ascontiguousarray(g.T),))
+def permute(x, axes):
+    """Reorder the axes of x as np.transpose does, into a C-contiguous copy.
 
-
-def einsum_linear(fwd, bwd, x, const):
-    """Contraction linear in x against a fixed array.
-
-    fwd maps (x, const) to the output; bwd maps (upstream grad, const)
-    back to d(x). The caller is responsible for the two specs agreeing.
+    A later reshape then never yields a strided view, so the BLAS path of
+    what follows does not depend on the axis sizes.
     """
-    x = _wrap(x)
-    const = np.asarray(const)
-    if const.dtype != x.data.dtype:
-        const = const.astype(x.data.dtype)
-    out = np.einsum(fwd, x.data, const)
-    return _result(out, (x,), lambda g: (np.einsum(bwd, g, const),))
+    x, axes = _wrap(x), tuple(axes)
+    return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,),
+                   lambda g: (g.transpose([axes.index(i) for i in range(len(axes))]),))
 
 
 # ---------------------------------------------------------------------------

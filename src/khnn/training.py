@@ -119,7 +119,7 @@ class TrainHistory:
 
 
 def _check_data(x, y):
-    """x as a float array (float32 kept) and y as float64, checked together.
+    """x as a float array (float32 kept) and y in x's dtype, checked together.
 
     Bad data fails here, naming the argument, rather than later as a
     shape error inside the loss or as a diverged loss.
@@ -127,7 +127,7 @@ def _check_data(x, y):
     x = np.asarray(x)
     if x.dtype not in (np.float32, np.float64):
         x = x.astype(np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=x.dtype)
     if x.ndim == 0 or y.ndim == 0:
         raise ValueError(f"x and y need a batch axis, got shapes {x.shape} and {y.shape}")
     if x.shape[0] != y.shape[0]:

@@ -28,13 +28,13 @@ class TestAssembleBlockMatrix:
     def test_reals_returns_raw_weights(self):
         w = np.random.default_rng(0).standard_normal((3, 2, 1))
         block = assemble_block_matrix(Tensor(w), predefined("reals"))
-        npt.assert_array_equal(block.data, w[:, :, 0])
+        npt.assert_array_equal(block.data, w[:, :, 0].T)
 
     def test_complex_single_block(self):
         a, b = 0.7, -1.2
         block = assemble_block_matrix(Tensor(np.array([[[a, b]]])),
                                       predefined("complex"))
-        npt.assert_array_equal(block.data, [[a, -b], [b, a]])
+        npt.assert_array_equal(block.data, [[a, b], [-b, a]])
 
     def test_quaternion_two_path(self):
         alg = predefined("quaternions")
@@ -59,14 +59,16 @@ class TestHyperDense:
         assert out.data.shape == (4, 40)
         assert layer.param_count() == 10 * 1 * 4 + 40
 
-    def test_reals_reduction_bit_equal(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("u, m", [(3, 4), (3, 2), (16, 8), (64, 64)])
+    def test_reals_reduction_bit_equal(self, u, m, dtype):
         rng = np.random.default_rng(2)
-        hyper = HyperDense(3, algebra="reals", seed=7)
-        x = rng.standard_normal((5, 4))
+        hyper = HyperDense(u, algebra="reals", seed=7, dtype=dtype)
+        x = rng.standard_normal((5, m)).astype(dtype)
         hyper(Tensor(x))
-        real = Dense(3)
-        real.build((4,), rng)
-        real.weights.data = hyper.weights.data.reshape(3, 4).T.copy()
+        real = Dense(u, dtype=dtype)
+        real.build((m,), rng)
+        real.weights.data = hyper.weights.data.reshape(u, m).T.copy()
         real.bias.data = hyper.bias.data.copy()
         npt.assert_array_equal(hyper.forward(Tensor(x)).data,
                                real.forward(Tensor(x)).data)

@@ -1,4 +1,7 @@
+import base64
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +20,7 @@ from khnn.model import ModelLoadError, Sequential, load_model, save_model
 from khnn.tensor import ShapeError, Tensor
 
 XOR_X = np.eye(4)
+DATA = Path(__file__).parent / "data"
 
 
 def xor_model(seed=0):
@@ -175,6 +179,34 @@ class TestSerialization:
         with pytest.raises(ModelLoadError, match="bytes"):
             load_model(path)
 
+    def test_corrupt_blob_rejected_naming_the_file(self, tmp_path):
+        model = xor_model(seed=8)
+        model.predict(XOR_X)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["weights"][0] = doc["weights"][0][:-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_non_object_document_rejected_naming_the_file(self, tmp_path):
+        model = xor_model(seed=8)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        path.write_text(json.dumps([json.loads(path.read_text())]))
+        with pytest.raises(ModelLoadError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_hyper_layer_without_algebra_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(xor_model(seed=8), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["algebra"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match="hyper_dense layer has no algebra"):
+            load_model(path)
+
     def test_unknown_algebra_name_with_embedded_table(self, tmp_path):
         # tables travel inside the file, so the name needs no registry hit
         algebra = from_entries({(1, 1): (0, -1)}, dim=2, name="my-custom-plane")
@@ -230,3 +262,29 @@ class TestSerialization:
         shapes_before = [p.data.shape for p in model.params()]
         shapes_after = [p.data.shape for p in loaded.params()]
         assert shapes_before == shapes_after
+
+
+def _blob(text, shape):
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").reshape(shape)
+
+
+class TestGoldenFiles:
+    """Version-1 files written by an earlier save_model.
+
+    v1_conv_f32 is a float32 quaternion conv model and v1_dense_nonunital
+    a float64 dense model over a non-unital 3-D algebra, both trained for
+    a few steps. v1_predictions.json holds each model's input and the
+    predictions it made before it was saved.
+    """
+
+    @pytest.mark.parametrize("name", ["v1_conv_f32", "v1_dense_nonunital"])
+    def test_predicts_stored_outputs_and_resaves_byte_identical(self, tmp_path, name):
+        case = json.loads((DATA / "v1_predictions.json").read_text())[name]
+        x = _blob(case["x"], case["x_shape"]).astype(case["dtype"])
+        model = load_model(DATA / f"{name}.json")
+        pred = model.predict(x)
+        assert pred.dtype == case["dtype"]
+        npt.assert_array_equal(pred, _blob(case["pred"], case["pred_shape"]))
+        save_model(model, tmp_path / "resaved.json")
+        assert ((tmp_path / "resaved.json").read_bytes()
+                == (DATA / f"{name}.json").read_bytes())

@@ -13,13 +13,17 @@ from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from khnn import tensor as T  # noqa: E402
-from khnn.algebra import StructureConstants, load_algebra, save_algebra  # noqa: E402
-from khnn.layers import Dense, GlobalMaxPool, HyperConv2D  # noqa: E402
-from khnn.model import Sequential  # noqa: E402
+from khnn.algebra import (StructureConstants, load_algebra, predefined,  # noqa: E402
+                          predefined_names, save_algebra)
+from khnn.layers import (Activation, Dense, Flatten, GlobalMaxPool,  # noqa: E402
+                         HyperConv1D, HyperConv2D, HyperConv3D, HyperDense)
+from khnn.model import Sequential, load_model, save_model  # noqa: E402
 from khnn.tensor import Tensor  # noqa: E402
 from khnn.training import bce_loss  # noqa: E402
 
-from conftest import naive_conv_nd  # noqa: E402
+from conftest import naive_conv_nd, naive_hyperconv, naive_hyperdense  # noqa: E402
+
+CONV_BY_D = {1: HyperConv1D, 2: HyperConv2D, 3: HyperConv3D}
 
 
 @st.composite
@@ -141,15 +145,104 @@ class TestLeafOnlyGradients:
             npt.assert_array_equal(t.grad, expected[id(t)])
 
 
-# unit rows may be anything here, so the drawn tensors are mostly not unital
-algebra_tensors = st.integers(1, 4).flatmap(lambda n: arrays(
-    np.float64, (n, n, n),
-    elements=st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0]),
-                       st.floats(-1e6, 1e6, allow_nan=False))))
+def algebra_tensors(bound):
+    """(n, n, n) structure tensors, n <= 4, with entries in [-bound, bound].
+
+    Unit rows may be anything here, so the drawn tensors are mostly not
+    unital.
+    """
+    return st.integers(1, 4).flatmap(lambda n: arrays(
+        np.float64, (n, n, n),
+        elements=st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0]),
+                           st.floats(-bound, bound, allow_nan=False))))
+
+
+# entries within [-1, 1] keep every block product's rounding far below 1e-12
+layer_algebras = algebra_tensors(1.0).map(
+    lambda t: StructureConstants.from_tensor(t, name="drawn"))
+
+
+class TestHyperLayerProperties:
+    @given(layer_algebras, st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_hyperdense_matches_naive(self, algebra, units, elems, batch, seed):
+        rng = np.random.default_rng(seed)
+        layer = HyperDense(units, algebra=algebra, input_shape=(elems * algebra.dim,),
+                           seed=seed)
+        layer.bias.data = rng.standard_normal(layer.bias.data.shape)
+        x = rng.standard_normal((batch, elems * algebra.dim))
+        expected = naive_hyperdense(algebra, layer.weights.data, layer.bias.data, x)
+        npt.assert_allclose(layer(Tensor(x)).data, expected, rtol=1e-12, atol=1e-12)
+
+    @given(layer_algebras, conv_cases(max_channels=2), st.integers(0, 2**32 - 1))
+    def test_hyperconv_matches_naive(self, algebra, case, seed):
+        # conv_cases supplies the geometry: its channel counts become the
+        # number of input element groups and of filters
+        x, kernel, stride, padding = case
+        n, groups, filters = algebra.dim, kernel.shape[-2], kernel.shape[-1]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((*x.shape[:-1], groups * n))
+        layer = CONV_BY_D[x.ndim - 2](filters, kernel.shape[:-2], algebra=algebra,
+                                      stride=stride, padding=padding)
+        layer.build(x.shape[1:], rng)
+        layer.bias.data = rng.standard_normal(layer.bias.data.shape)
+        out = layer(Tensor(x)).data
+        expected = naive_hyperconv(algebra, layer.weights.data, layer.bias.data, x,
+                                   stride=stride, padding=padding)
+        npt.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def model_cases(draw):
+    """(model, x): a hyper-layer stack, built or not, and an input for it."""
+    algebra = draw(st.one_of(layer_algebras,
+                             st.sampled_from(predefined_names()).map(predefined)))
+    n = algebra.dim
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    activations = st.sampled_from([None, "tanh", "sigmoid"])
+    d = draw(st.integers(0, 3))          # 0: no conv layer
+    batch = draw(st.integers(1, 2))
+    layers = []
+    if d:
+        stride = draw(st.one_of(st.integers(1, 2), st.tuples(*[st.integers(1, 2)] * d)))
+        layers.append(CONV_BY_D[d](
+            draw(st.integers(1, 2)), draw(st.integers(1, 2)), algebra=algebra,
+            stride=stride, padding=draw(st.sampled_from(["valid", "same"])),
+            activation=draw(activations), dtype=dtype))
+        layers.append(draw(st.sampled_from([GlobalMaxPool, Flatten]))())
+        x_shape = (batch, *[3] * d, draw(st.integers(1, 2)) * n)
+    else:
+        x_shape = (batch, draw(st.integers(1, 3)) * n)
+    layers += [HyperDense(draw(st.integers(1, 2)), algebra=algebra,
+                          activation=draw(activations), dtype=dtype),
+               Dense(draw(st.integers(1, 2)), activation=draw(activations), dtype=dtype),
+               Activation(draw(st.sampled_from(["tanh", "sigmoid"])))]
+    model = Sequential(layers, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(x_shape).astype(dtype)
+    if draw(st.booleans()):
+        model.predict(x)
+    return model, x
+
+
+class TestModelFileProperties:
+    @given(model_cases())
+    def test_roundtrip_predicts_bit_exact_and_resaves_byte_identical(
+            self, tmp_path_factory, case):
+        model, x = case
+        built = model.built
+        before = model.predict(x) if built else None
+        folder = tmp_path_factory.mktemp("model")
+        save_model(model, folder / "saved.json")
+        loaded = load_model(folder / "saved.json")
+        save_model(loaded, folder / "resaved.json")
+        assert (folder / "resaved.json").read_bytes() == (folder / "saved.json").read_bytes()
+        if built:
+            npt.assert_array_equal(loaded.predict(x), before)
 
 
 class TestAlgebraFileProperties:
-    @given(algebra_tensors)
+    @given(algebra_tensors(1e6))
     def test_file_roundtrip_is_exact(self, tmp_path_factory, tensor):
         alg = StructureConstants.from_tensor(tensor, name="drawn")
         path = tmp_path_factory.mktemp("alg") / "alg.json"

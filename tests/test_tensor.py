@@ -122,12 +122,17 @@ class TestMatmul:
         assert T.finite_diff_check(loss_a, a) < 1e-6
         assert T.finite_diff_check(loss_b, b) < 1e-6
 
-    def test_transpose(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        out = T.transpose(x)
-        npt.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
-        T.tensor_sum(T.mul(out, Tensor([[1.0, 0.0], [0.0, 2.0]]))).backward()
-        npt.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 2.0]])
+    def test_permute(self):
+        data = np.arange(24.0).reshape(2, 3, 4)
+        x = Tensor(data, requires_grad=True)
+        out = T.permute(x, (2, 0, 1))
+        npt.assert_array_equal(out.data, data.transpose(2, 0, 1))
+        assert out.data.flags.c_contiguous
+        weight = np.arange(24.0).reshape(4, 2, 3)
+        T.tensor_sum(T.mul(out, Tensor(weight))).backward()
+        npt.assert_array_equal(x.grad, weight.transpose(1, 2, 0))
+        with pytest.raises(ValueError):
+            T.permute(x, (0, 1))
 
 
 class TestConv:

@@ -254,6 +254,25 @@ class TestFit:
         evaluate(model, x, y, loss_fn=recording_loss)
         assert seen == [np.float32]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fit_target_and_loss_follow_x_dtype(self, dtype):
+        x = np.array([[-1.0], [1.0]], dtype=dtype)
+        seen = []
+
+        def recording_loss(pred, target):
+            loss = bce_loss(pred, target)
+            seen.append((pred.data.dtype, target.data.dtype, loss.data.dtype))
+            return loss
+
+        histories = []
+        for y in (np.array([[0.0], [1.0]], dtype=np.float32), np.array([[0], [1]])):
+            model = Sequential([Dense(1, dtype=dtype), Activation("sigmoid")], seed=15)
+            histories.append(fit(model, x, y, epochs=2, optimizer=SGD(lr=0.1),
+                                 loss_fn=recording_loss))
+        assert seen == [(dtype, dtype, dtype)] * 4
+        # the target's own dtype does not reach the loss
+        assert histories[0].loss == histories[1].loss
+
     def test_evaluate_matches_manual(self):
         x = np.array([[-1.0], [1.0]])
         y = np.array([[0.0], [1.0]])
