@@ -165,14 +165,12 @@ def load_model(path):
         raise ModelLoadError(f"model file {path} holds no JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise ModelLoadError(f"unsupported format_version {version!r} "
-                             f"(expected {FORMAT_VERSION})")
+        raise ModelLoadError(f"model file {path} has unsupported format_version "
+                             f"{version!r} (expected {FORMAT_VERSION})")
     try:
         model = Sequential([_layer_from_doc(d) for d in doc["layers"]])
         raws = [base64.b64decode(blob) for blob in doc["weights"]]
     except (KeyError, TypeError, ValueError) as exc:   # binascii.Error included
-        if isinstance(exc, ModelLoadError):
-            raise
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
     params = model.params()
     if len(raws) != len(params):

@@ -4,7 +4,9 @@ Small numpy-backed compute core: enough operations for block-matrix
 dense layers, N-d convolution (N in {1, 2, 3}), activations, pooling
 and a binary-cross-entropy training loop. Each operation records its
 parents and a backward rule on the output tensor; ``backward()`` on a
-scalar walks the recorded graph in reverse topological order.
+scalar walks the recorded graph newest tensor first. Every tensor is
+numbered at creation, after its parents, so a tensor's gradient is
+complete by the time the walk reaches it.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
@@ -14,6 +16,7 @@ axis). Arrays are float64 by default; float32 is allowed for speed.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from contextlib import contextmanager
 
@@ -25,6 +28,7 @@ class ShapeError(ValueError):
 
 
 _grad_enabled = True
+_creation_order = itertools.count()
 
 
 @contextmanager
@@ -58,7 +62,7 @@ class Tensor:
     None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_seq")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = _coerce(data, dtype)
@@ -66,6 +70,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._seq = next(_creation_order)
 
     @property
     def shape(self):
@@ -111,35 +116,22 @@ class Tensor:
     def backward(self):
         """Accumulate d(self)/d(t) into t.grad for every leaf t of the tape.
 
-        Gradients of intermediate results flow through the walk and are
-        freed as soon as they are consumed; none is stored on them.
+        One pass pops pending tensors newest first. All consumers of a
+        tensor are newer than it, so its gradient is complete when it is
+        popped: a leaf adds it to ``grad``, any other tensor runs its
+        backward rule once. Gradients of intermediate results are freed
+        as soon as they are consumed; none is stored on them.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         if not self.requires_grad:
             raise RuntimeError("tensor is not connected to a gradient tape")
 
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
-        flowing = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = flowing.pop(id(node), None)
-            if g is None:
-                continue
+        flowing = {self: np.ones_like(self.data)}
+        pending = [(-self._seq, self)]
+        while pending:
+            node = heapq.heappop(pending)[1]
+            g = flowing.pop(node)
             if node._backward is None:
                 if node.grad is None:
                     node.grad = np.zeros_like(node.data)
@@ -148,13 +140,13 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                key = id(parent)
-                if key in flowing:
+                if parent in flowing:
                     # out-of-place: backward rules may hand the same array
                     # to several parents, so stored buffers are never mutated
-                    flowing[key] = flowing[key] + pg
+                    flowing[parent] = flowing[parent] + pg
                 else:
-                    flowing[key] = pg
+                    flowing[parent] = pg
+                    heapq.heappush(pending, (-parent._seq, parent))
 
 
 def zero_grad(tensors):
@@ -178,7 +170,7 @@ def _result(data, parents, backward):
 def _check_same_shape(op, a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
-                         "(only scalar operands broadcast)")
+                         "(only Python scalar operands broadcast)")
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +181,6 @@ def add(a, b):
         a = _wrap(a)
         return _result(a.data + b, (a,), lambda g: (g,))
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        return _result(a.data + b.data, (a, b),
-                       lambda g: (_unbroadcast(g, a.data.shape),
-                                  _unbroadcast(g, b.data.shape)))
     _check_same_shape("add", a, b)
     return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
@@ -213,19 +201,8 @@ def mul(a, b):
         a = _wrap(a)
         return _result(a.data * b, (a,), lambda g: (g * b,))
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 0 and b.data.ndim != 0:
-        _check_same_shape("mul", a, b)
-    return _result(a.data * b.data, (a, b),
-                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                              _unbroadcast(g * a.data, b.data.shape)))
-
-
-def _unbroadcast(g, shape):
-    # only a 0-d operand ever broadcasts, so either shapes match or the
-    # gradient collapses to a scalar
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum()).reshape(shape)
+    _check_same_shape("mul", a, b)
+    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def neg(x):
@@ -476,7 +453,11 @@ def finite_diff_check(f, t, eps=1e-6):
 
     f takes the tensor and returns a scalar Tensor; it must be pure so
     it can be re-evaluated under coordinate perturbations. The relative
-    error denominator is max(|analytic|, |numeric|, 1e-8) per coordinate.
+    error denominator is max(|analytic|, |numeric|, 1e-8) per coordinate,
+    so small coordinates against a large f read high from rounding alone:
+    a correct coordinate near 1e-3 against an f of order 10 can exceed
+    1e-6. Callers gating on such a bound must scale their inputs so that
+    no coordinate is that small relative to f.
     """
     t.grad = None
     out = f(t)

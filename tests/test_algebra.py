@@ -19,6 +19,7 @@ from khnn.algebra import (
     predefined,
     predefined_names,
     save_algebra,
+    write_atomic,
 )
 
 ALL_NAMES = predefined_names()
@@ -274,6 +275,14 @@ class TestAlgebraFiles:
             {"name": "broken", "dim": 2, "entries": [[0, 1, 0, 1.0]]}))
         alg = load_algebra(path)
         assert not check_unit(alg)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_atomic(target, "text")
+        assert target.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 class TestRendering:

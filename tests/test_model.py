@@ -207,6 +207,26 @@ class TestSerialization:
         with pytest.raises(ModelLoadError, match="hyper_dense layer has no algebra"):
             load_model(path)
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda doc: doc.update(format_version=99), "unsupported format_version 99"),
+        (lambda doc: doc["layers"][0].update(kind="nope"), "unknown layer kind 'nope'"),
+        (lambda doc: doc["layers"][0].update(algebra=None),
+         "hyper_dense layer has no algebra"),
+        (lambda doc: doc["weights"].pop(), "holds 3 parameter blobs, expected 4"),
+    ], ids=["version", "unknown-kind", "no-algebra", "blob-missing"])
+    def test_load_errors_name_the_file(self, tmp_path, corrupt, message):
+        model = xor_model(seed=8)
+        model.predict(XOR_X)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        assert message in str(info.value)
+
     def test_unknown_algebra_name_with_embedded_table(self, tmp_path):
         # tables travel inside the file, so the name needs no registry hit
         algebra = from_entries({(1, 1): (0, -1)}, dim=2, name="my-custom-plane")

@@ -18,8 +18,18 @@ class TestElementwise:
         npt.assert_array_equal(out.data, [2.5, 3.5])
 
     def test_add_shape_mismatch(self):
+        for a, b in [(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]])),
+                     (Tensor(1.0), Tensor(np.ones((2, 2))))]:
+            with pytest.raises(ShapeError):
+                T.add(a, b)
+
+    def test_zero_d_operands_follow_the_equal_shape_rule(self):
+        x = Tensor(2.0, requires_grad=True)
+        y = Tensor(3.0, requires_grad=True)
+        T.mul(T.add(x, y), y).backward()
+        assert (x.grad, y.grad) == (3.0, 8.0)
         with pytest.raises(ShapeError):
-            T.add(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
+            T.mul(x, Tensor(np.ones((2, 2))))
 
     def test_mul_and_neg(self):
         out = T.neg(T.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0])))
@@ -240,6 +250,57 @@ class TestBackward:
                     1: ([1.0, 1.0], [4.0, 4.0])}[extra_on]
         npt.assert_array_equal(x.grad, expected[0])
         npt.assert_array_equal(y.grad, expected[1])
+
+    def test_scalar_leaf_backward_sets_unit_grad(self):
+        w = Tensor(2.0, requires_grad=True)
+        w.backward()
+        assert w.grad == 1.0
+
+    def test_three_consumers_sum_their_shares(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([4.0, 5.0], requires_grad=True)
+        loss = T.add(T.add(T.tensor_sum(T.mul(x, 2.0)), T.tensor_sum(T.mul(x, 3.0))),
+                     T.tensor_sum(T.mul(x, w)))
+        loss.backward()
+        npt.assert_array_equal(x.grad, [2.0 + 3.0 + 4.0, 2.0 + 3.0 + 5.0])
+        npt.assert_array_equal(w.grad, [1.0, 2.0])
+
+    def test_each_backward_rule_runs_once_per_walk(self):
+        # a diamond (x -> a, b -> c) followed by a chain (c -> d -> e -> loss)
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        c = T.add(T.mul(x, 2.0), T.tanh(x))
+        loss = T.tensor_sum(T.sigmoid(T.neg(c)))
+        calls = {}
+
+        def counted(node):
+            rule = node._backward
+
+            def wrapper(g):
+                calls[id(node)] = calls.get(id(node), 0) + 1
+                return rule(g)
+            node._backward = wrapper
+
+        nodes, todo = {}, [loss]
+        while todo:
+            t = todo.pop()
+            if id(t) not in nodes and t._backward is not None:
+                nodes[id(t)] = t
+                todo.extend(t._parents)
+        for node in nodes.values():
+            counted(node)
+        assert len(nodes) == 6
+        loss.backward()
+        assert calls == {key: 1 for key in nodes}
+        loss.backward()
+        assert calls == {key: 2 for key in nodes}
+
+    def test_leaves_never_share_a_gradient_array(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        T.tensor_sum(T.add(x, y)).backward()
+        assert x.grad is not y.grad
+        x.grad[0] = 7.0
+        npt.assert_array_equal(y.grad, [1.0, 1.0])
 
     def test_non_scalar_loss_rejected(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
