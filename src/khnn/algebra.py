@@ -15,6 +15,7 @@ automatically. Pairs that are not listed multiply to zero unless
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -354,14 +355,37 @@ def algebra_from_doc(doc, source="algebra document"):
     """
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise AlgebraError(f"{source} lacks 'dim'/'entries' keys")
+    dim, rows = doc["dim"], doc["entries"]
+    if not _is_int(dim) or dim < 1:
+        raise AlgebraError(f"{source}: dim must be an int >= 1, got {dim!r}")
+    if not isinstance(rows, list):
+        raise AlgebraError(f"{source}: entries must be a list, got {rows!r}")
     entries: dict[tuple[int, int], list] = {}
-    for row in doc["entries"]:
-        if not (isinstance(row, list) and len(row) == 4):
-            raise AlgebraError(f"{source}: bad entry row {row!r}")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4 and all(map(_is_int, row[:3]))
+                and _is_number(row[3])):
+            raise AlgebraError(f"{source}: bad entry row {row!r} "
+                               "(want [i, j, k, coeff], ints and a finite number)")
         i, j, k, c = row
-        entries.setdefault((int(i), int(j)), []).append((int(k), float(c)))
-    tensor = _tensor_from_entries(entries, int(doc["dim"]), allow_unit_rows=True)
+        entries.setdefault((i, j), []).append((k, float(c)))
+    try:
+        tensor = _tensor_from_entries(entries, dim, allow_unit_rows=True)
+    except AlgebraError as exc:
+        raise AlgebraError(f"{source}: {exc}") from exc
     return StructureConstants.from_tensor(tensor, name=doc.get("name"))
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def save_algebra(algebra, path):

@@ -13,10 +13,9 @@ import argparse
 import os
 import sys
 
-from .algebra import (AlgebraError, check_alternative, check_associative,
-                      check_commutative, check_unit, load_algebra,
-                      multiplication_table, predefined, predefined_names,
-                      write_atomic)
+from .algebra import (check_alternative, check_associative, check_commutative,
+                      check_unit, load_algebra, multiplication_table, predefined,
+                      predefined_names, write_atomic)
 from .datasets import XOR_X, XOR_Y, motif_splits
 from .layers import Activation, Dense, GlobalMaxPool, HyperConv2D, HyperDense
 from .model import Sequential
@@ -35,10 +34,7 @@ def _resolve_algebra(ref):
     except KeyError:
         pass
     if os.path.exists(ref):
-        try:
-            return load_algebra(ref)
-        except AlgebraError as exc:
-            raise CliError(str(exc)) from exc
+        return load_algebra(ref)
     raise CliError(f"unknown algebra {ref!r} and no such file; predefined "
                    f"names: {', '.join(predefined_names())}")
 
@@ -107,11 +103,7 @@ def cmd_train_xor(args):
     seed = _seed_from(args)
     model = _xor_model(algebra, seed)
     optimizer = _make_optimizer(args.optimizer, args.lr)
-    try:
-        history = fit(model, XOR_X, XOR_Y, epochs=args.epochs, optimizer=optimizer)
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
+    history = fit(model, XOR_X, XOR_Y, epochs=args.epochs, optimizer=optimizer)
     os.makedirs(args.out, exist_ok=True)
     history.to_csv(os.path.join(args.out, "history.csv"))
 
@@ -146,12 +138,8 @@ def cmd_train_synth_images(args):
     # one full-batch step per epoch, so the default step size is larger
     # than the optimizer's mini-batch default
     optimizer = _make_optimizer(args.optimizer, args.lr, adam_lr=0.01)
-    try:
-        history = fit(model, x_train, y_train, epochs=args.epochs,
-                      optimizer=optimizer, validation=val, verbose=True)
-    except TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 1
+    history = fit(model, x_train, y_train, epochs=args.epochs,
+                  optimizer=optimizer, validation=val, verbose=True)
     os.makedirs(args.out, exist_ok=True)
     history.to_csv(os.path.join(args.out, "history.csv"))
 
@@ -165,6 +153,10 @@ def cmd_train_synth_images(args):
 
 
 def cmd_param_report(args):
+    for flag in ("units", "filters", "kernel", "width"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise CliError(f"--{flag} must be >= 1, got {value}")
     algebra = _resolve_algebra(args.algebra)
     n = algebra.dim
     if args.width % n != 0:
@@ -251,10 +243,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (AlgebraError, ValueError) as exc:
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
+    except (CliError, ValueError) as exc:   # AlgebraError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,20 +122,6 @@ class _Affine(Layer):
         return [self.weights, self.bias] if self.built else []
 
 
-def _expand(weights, algebra, axes):
-    """Blocks E[..., j, k] = sum_i weights[..., i] * A[i, j, k], permuted by axes.
-
-    Each block is the transposed left-multiplication matrix of one
-    element, and all of them come from one GEMM against A as (n, n*n).
-    """
-    *lead, n = weights.data.shape
-    if n != algebra.dim:
-        raise ShapeError(f"weight element width {n} != algebra dim {algebra.dim}")
-    table = Tensor(algebra.tensor.reshape(n, n * n), dtype=weights.data.dtype)
-    blocks = T.matmul(T.reshape(weights, (-1, n)), table)
-    return T.permute(T.reshape(blocks, (*lead, n, n)), axes)
-
-
 def assemble_block_matrix(weights, algebra):
     """Expand (u, m, n) weight elements into the real (m*n, u*n) matrix W.
 
@@ -145,7 +131,7 @@ def assemble_block_matrix(weights, algebra):
     """
     u, m, n = weights.data.shape
     # (a, b, j, k) -> (b, j, a, k)
-    return T.reshape(_expand(weights, algebra, (1, 2, 0, 3)), (m * n, u * n))
+    return T.expand_blocks(weights, algebra.tensor, (1, 2, 0, 3), (m * n, u * n))
 
 
 def assemble_conv_kernel(weights, algebra):
@@ -159,8 +145,8 @@ def assemble_conv_kernel(weights, algebra):
     *ksize, groups, filters, n = weights.data.shape
     d = len(ksize)
     # (K.., g, f, j, k) -> (K.., g, j, f, k)
-    blocks = _expand(weights, algebra, (*range(d), d, d + 2, d + 1, d + 3))
-    return T.reshape(blocks, (*ksize, groups * n, filters * n))
+    return T.expand_blocks(weights, algebra.tensor, (*range(d), d, d + 2, d + 1, d + 3),
+                           (*ksize, groups * n, filters * n))
 
 
 class HyperDense(_Affine):

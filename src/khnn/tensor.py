@@ -8,6 +8,10 @@ scalar walks the recorded graph newest tensor first. Every tensor is
 numbered at creation, after its parents, so a tensor's gradient is
 complete by the time the walk reaches it.
 
+Layer primitives (``expand_blocks``, ``global_max_pool``) are single
+operations with their own backward rule, one tape node each, not chains
+of generic ones.
+
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
 is the one documented exception, broadcasting a vector over the last
@@ -265,25 +269,6 @@ def mean(x, axis=None):
     return _result(out, (x,), backward)
 
 
-def reduce_max(x, axis=None):
-    """Max reduction; ties route the gradient to the first maximum."""
-    x = _wrap(x)
-    data = x.data.reshape(-1) if axis is None else x.data
-    axis = 0 if axis is None else axis
-    if not (_grad_enabled and x.requires_grad):
-        return Tensor(data.max(axis=axis))
-    # one pass: the max is read off at the argmax the backward needs anyway
-    idx = np.expand_dims(data.argmax(axis=axis), axis)
-    out = np.take_along_axis(data, idx, axis=axis).squeeze(axis)
-
-    def backward(g):
-        dx = np.zeros_like(data)
-        np.put_along_axis(dx, idx, np.expand_dims(g, axis), axis=axis)
-        return (dx.reshape(x.data.shape),)
-
-    return _result(out, (x,), backward)
-
-
 def reshape(x, *shape):
     x = _wrap(x)
     if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -304,13 +289,24 @@ def flatten(x):
 
 
 def global_max_pool(x):
-    """Max over all spatial axes of (B, S1..Sd, C), keeping batch and channel."""
+    """Max over the spatial axes of (B, S1..Sd, C); ties route to the first max."""
     x = _wrap(x)
     if x.data.ndim < 3:
         raise ShapeError(f"global_max_pool needs (B, spatial..., C), got {x.data.shape}")
     b, c = x.data.shape[0], x.data.shape[-1]
-    flat = reshape(x, (b, -1, c))
-    return reduce_max(flat, axis=1)
+    flat = x.data.reshape(b, -1, c)
+    if not (_grad_enabled and x.requires_grad):
+        return Tensor(flat.max(axis=1))
+    # one pass: the max is read off at the argmax the backward needs anyway
+    idx = flat.argmax(axis=1)[:, None]
+    out = np.take_along_axis(flat, idx, axis=1)[:, 0]
+
+    def backward(g):
+        dx = np.zeros_like(flat)
+        np.put_along_axis(dx, idx, g[:, None], axis=1)
+        return (dx.reshape(x.data.shape),)
+
+    return _result(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +323,28 @@ def matmul(a, b):
                               a.data.T @ g if b.requires_grad else None))
 
 
-def permute(x, axes):
-    """Reorder the axes of x as np.transpose does, into a C-contiguous copy.
+def expand_blocks(x, table, axes, shape):
+    """Blocks E[..., j, k] = sum_i x[..., i] * table[i, j, k], transposed by axes.
 
-    A later reshape then never yields a strided view, so the BLAS path of
-    what follows does not depend on the axis sizes.
+    x holds (..., n) elements; table, a constant (n, n, n) array, is cast
+    to x's dtype and viewed as (n, n*n) for one GEMM. The result is a
+    C-contiguous copy of the given shape, so a later reshape never hands
+    BLAS a strided view.
     """
-    x, axes = _wrap(x), tuple(axes)
-    return _result(np.ascontiguousarray(x.data.transpose(axes)), (x,),
-                   lambda g: (g.transpose([axes.index(i) for i in range(len(axes))]),))
+    x, n = _wrap(x), len(table)
+    *lead, width = x.data.shape
+    if width != n:
+        raise ShapeError(f"expand_blocks: element width {width} != table dim {n}")
+    table = np.asarray(table, dtype=x.data.dtype).reshape(n, n * n)
+    blocks = (x.data.reshape(-1, n) @ table).reshape(*lead, n, n)
+    placed = np.ascontiguousarray(blocks.transpose(axes))
+    inverse = np.argsort(axes)
+
+    def backward(g):
+        g = g.reshape(placed.shape).transpose(inverse).reshape(-1, n * n)
+        return ((g @ table.T).reshape(x.data.shape),)
+
+    return _result(placed.reshape(shape), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

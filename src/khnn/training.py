@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,11 +47,27 @@ def accuracy(pred, target):
     return float(((pred >= 0.5) == (target >= 0.5)).mean())
 
 
+def _positive(name, value):
+    """value as a float, which must be finite and > 0."""
+    value = float(value)
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
+def _decay(name, value):
+    """value as a float in [0, 1), the range of an Adam moment decay."""
+    value = float(value)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {value}")
+    return value
+
+
 class SGD:
     """Plain gradient descent, w <- w - lr * g."""
 
     def __init__(self, lr=0.01):
-        self.lr = float(lr)
+        self.lr = _positive("lr", lr)
 
     def step(self, params):
         for p in params:
@@ -63,10 +80,10 @@ class Adam:
     """Adam with bias-corrected moments, w <- w - lr * m^ / (sqrt(v^) + eps)."""
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+        self.lr = _positive("lr", lr)
+        self.beta1 = _decay("beta1", beta1)
+        self.beta2 = _decay("beta2", beta2)
+        self.eps = _positive("eps", eps)
         self.step_count = 0
         # moments keyed by the parameter itself: the strong reference keeps
         # its id from being reused, so no two parameters share a state
@@ -159,6 +176,10 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if batch_size is not None and (isinstance(batch_size, bool)
+                                   or not isinstance(batch_size, numbers.Integral)
+                                   or batch_size < 1):
+        raise ValueError(f"batch_size must be a positive int or None, got {batch_size!r}")
     x, y = _check_data(x, y)
     if validation is not None:
         validation = _check_data(*validation)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -253,6 +254,31 @@ class TestAlgebraFiles:
         path.write_text(json.dumps({"dim": 2}))
         with pytest.raises(AlgebraError):
             load_algebra(path)
+
+    @pytest.mark.parametrize("doc", [
+        {"dim": 2, "entries": 5},
+        {"dim": 2.7, "entries": []},
+        {"dim": "x", "entries": []},
+        {"dim": True, "entries": []},
+        {"dim": 0, "entries": []},
+        {"dim": 2, "entries": [[1.5, 1, 0, -1.0]]},
+        {"dim": 2, "entries": [[1, 1, 0, "-1"]]},
+        {"dim": 2, "entries": [[1, 1, 0, float("nan")]]},
+        {"dim": 2, "entries": [[1, 1, 0, True]]},
+        {"dim": 2, "entries": [[1, 1, 0, 10 ** 400]]},
+        {"dim": 2, "entries": [[1, 1, 2, 1.0]]},
+    ], ids=["entries-int", "dim-float", "dim-str", "dim-bool", "dim-zero", "index-float",
+            "coeff-str", "coeff-nan", "coeff-bool", "coeff-huge", "index-range"])
+    def test_mistyped_document_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AlgebraError, match=re.escape(str(path))):
+            load_algebra(path)
+
+    def test_integer_coefficients_accepted(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [[1, 1, 0, -1]]}))
+        assert load_algebra(path) == predefined("complex")
 
     def test_unit_row_overrides_survive_resave(self, tmp_path):
         # rows touching e_0 are accepted on load, so they must be written

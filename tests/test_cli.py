@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from khnn.cli import main
@@ -66,6 +67,15 @@ class TestAlgebraCheck:
         assert code == 2
         assert "bad.json" in err
 
+    @pytest.mark.parametrize("doc", [{"dim": 2, "entries": 5},
+                                     {"dim": 2.7, "entries": []}])
+    def test_mistyped_file_exit_2(self, capsys, tmp_path, doc):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "algebra-check", str(path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: algebra file {path}")
+
 
 class TestTrainXor:
     def test_quick_run_writes_history(self, capsys, tmp_path):
@@ -122,6 +132,21 @@ class TestTrainXor:
                            "--out", str(tmp_path))
         assert code == 2
         assert "epochs" in err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.01", "0"])
+    def test_bad_lr_exit_2(self, capsys, tmp_path, lr):
+        code, _, err = run(capsys, "train-xor", f"--lr={lr}", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: lr must be finite and > 0")
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_divergence_exit_1(self, capsys, tmp_path):
+        with np.errstate(all="ignore"):
+            code, _, err = run(capsys, "train-xor", "--lr", "1e308", "--epochs", "50",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert "training diverged" in err
+        assert not (tmp_path / "history.csv").exists()
 
 
 class TestTrainSynthImages:
@@ -189,6 +214,18 @@ class TestParamReport:
                            "--units", "1", "--width", "6")
         assert code == 2
         assert "multiple" in err
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--units", "0", "--width", "4"], "--units"),
+        (["--units", "-3", "--width", "4"], "--units"),
+        (["--filters", "0", "--width", "4"], "--filters"),
+        (["--filters", "2", "--kernel", "0", "--width", "4"], "--kernel"),
+        (["--units", "1", "--width", "0"], "--width"),
+    ])
+    def test_sizes_below_one_exit_2(self, capsys, flags, name):
+        code, out, err = run(capsys, "param-report", *flags)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {name} must be >= 1")
 
 
 class TestUsage:

@@ -213,7 +213,9 @@ class TestSerialization:
         (lambda doc: doc["layers"][0].update(algebra=None),
          "hyper_dense layer has no algebra"),
         (lambda doc: doc["weights"].pop(), "holds 3 parameter blobs, expected 4"),
-    ], ids=["version", "unknown-kind", "no-algebra", "blob-missing"])
+        (lambda doc: doc["layers"][0]["algebra"].update(dim=2.7),
+         "dim must be an int >= 1, got 2.7"),
+    ], ids=["version", "unknown-kind", "no-algebra", "blob-missing", "algebra-dim"])
     def test_load_errors_name_the_file(self, tmp_path, corrupt, message):
         model = xor_model(seed=8)
         model.predict(XOR_X)

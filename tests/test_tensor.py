@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -68,24 +70,6 @@ class TestReductionsAndShapes:
     def test_mean(self):
         assert T.mean(Tensor([1.0, 2.0, 3.0])).data == 2.0
 
-    def test_reduce_max_axis(self):
-        out = T.reduce_max(Tensor([[1.0, 5.0], [3.0, 2.0]]), axis=1)
-        npt.assert_array_equal(out.data, [5.0, 3.0])
-
-    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
-    def test_reduce_max_ties_route_to_first(self, axis):
-        data = np.array([[2.0, 7.0, 7.0], [7.0, 1.0, 7.0]])
-        x = Tensor(data, requires_grad=True)
-        out = T.reduce_max(x, axis=axis)
-        with T.no_grad():
-            untaped = T.reduce_max(x, axis=axis)
-        npt.assert_array_equal(out.data, data.max(axis=axis))
-        npt.assert_array_equal(untaped.data, data.max(axis=axis))
-        T.tensor_sum(out).backward()
-        first = {None: [[0, 1, 0], [0, 0, 0]], 0: [[0, 1, 1], [1, 0, 0]],
-                 1: [[0, 1, 0], [1, 0, 0]], -1: [[0, 1, 0], [1, 0, 0]]}[axis]
-        npt.assert_array_equal(x.grad, first)
-
     def test_reshape_and_flatten(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
         assert T.flatten(x).data.shape == (2, 12)
@@ -97,6 +81,23 @@ class TestReductionsAndShapes:
         x = Tensor(np.array([[[1.0], [2.0]], [[3.0], [4.0]]]).reshape(1, 2, 2, 1))
         out = T.global_max_pool(x)
         npt.assert_array_equal(out.data, [[4.0]])
+
+    def test_global_max_pool_ties_route_to_first(self):
+        # (B, S, C) = (2, 4, 2) viewed as a 2x2 image; most maxima repeat
+        flat = np.array([[[2.0, 5.0], [7.0, 5.0], [7.0, 0.0], [1.0, 5.0]],
+                         [[7.0, 3.0], [1.0, 3.0], [1.0, 3.0], [7.0, 3.0]]])
+        x = Tensor(flat.reshape(2, 2, 2, 2), requires_grad=True)
+        out = T.global_max_pool(x)
+        with T.no_grad():
+            untaped = T.global_max_pool(x)
+        assert untaped._parents == ()
+        npt.assert_array_equal(out.data, [[7.0, 5.0], [7.0, 3.0]])
+        npt.assert_array_equal(untaped.data, out.data)
+        weights = np.array([[1.0, 2.0], [3.0, 4.0]])
+        T.tensor_sum(T.mul(out, Tensor(weights))).backward()
+        first = np.zeros_like(flat)
+        first[0, 1, 0], first[0, 0, 1], first[1, 0, 0], first[1, 0, 1] = weights.ravel()
+        npt.assert_array_equal(x.grad, first.reshape(2, 2, 2, 2))
 
     def test_global_max_pool_needs_spatial(self):
         with pytest.raises(ShapeError):
@@ -132,17 +133,25 @@ class TestMatmul:
         assert T.finite_diff_check(loss_a, a) < 1e-6
         assert T.finite_diff_check(loss_b, b) < 1e-6
 
-    def test_permute(self):
-        data = np.arange(24.0).reshape(2, 3, 4)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_expand_blocks(self, dtype):
+        rng = np.random.default_rng(10)
+        data = rng.standard_normal((2, 3, 4)).astype(dtype)
+        table = rng.standard_normal((4, 4, 4))
         x = Tensor(data, requires_grad=True)
-        out = T.permute(x, (2, 0, 1))
-        npt.assert_array_equal(out.data, data.transpose(2, 0, 1))
-        assert out.data.flags.c_contiguous
-        weight = np.arange(24.0).reshape(4, 2, 3)
-        T.tensor_sum(T.mul(out, Tensor(weight))).backward()
-        npt.assert_array_equal(x.grad, weight.transpose(1, 2, 0))
-        with pytest.raises(ValueError):
-            T.permute(x, (0, 1))
+        out = T.expand_blocks(x, table, (1, 2, 0, 3), (12, 8))
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        # (a, b, j, k) -> (b, j, a, k)
+        expected = np.einsum("abi,ijk->bjak", data.astype(np.float64), table)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        npt.assert_allclose(out.data, expected.reshape(12, 8), rtol=tol, atol=tol)
+        weight = rng.standard_normal((12, 8))
+        T.tensor_sum(T.mul(out, Tensor(weight, dtype=dtype))).backward()
+        npt.assert_allclose(x.grad, np.einsum("ijk,bjak->abi", table,
+                                              weight.reshape(3, 4, 2, 4)),
+                            rtol=tol, atol=tol)
+        with pytest.raises(ShapeError):
+            T.expand_blocks(x, np.ones((3, 3, 3)), (1, 2, 0, 3), (9, 6))
 
 
 class TestConv:
@@ -319,6 +328,10 @@ class TestBackward:
         assert out._parents == ()
 
 
+# a non-unital, non-commutative (2, 2, 2) structure tensor
+_TABLE = np.array([[[0.5, -1.0], [2.0, 0.25]], [[-0.75, 1.5], [1.0, -2.0]]])
+
+
 class TestOpGradients:
     # every differentiable op, checked one at a time against central
     # differences through a fixed linear functional (lo, hi) bound the
@@ -338,8 +351,10 @@ class TestOpGradients:
                      -0.9, 0.9),
         "mean": (T.mean, -0.9, 0.9),
         "mean_axis": (lambda t: T.mean(T.reshape(t, (2, 3)), axis=0), -0.9, 0.9),
-        "reduce_max": (lambda t: T.reduce_max(T.reshape(t, (2, 3)), axis=1),
-                       -0.9, 0.9),
+        "global_max_pool": (lambda t: T.global_max_pool(T.reshape(t, (1, 3, 2))),
+                            -0.9, 0.9),
+        "expand_blocks": (lambda t: T.expand_blocks(T.reshape(t, (3, 2)), _TABLE,
+                                                    (1, 0, 2), (2, 6)), -0.9, 0.9),
         "reshape": (lambda t: T.reshape(t, (3, 2)), -0.9, 0.9),
         "flatten": (lambda t: T.flatten(T.reshape(t, (2, 3))), -0.9, 0.9),
     }
@@ -358,6 +373,29 @@ class TestOpGradients:
             return T.tensor_sum(T.mul(op(tt), weights))
 
         assert T.finite_diff_check(loss, t) < 1e-6
+
+    # public functions of khnn.tensor that record no tape node of their own
+    NOT_OPS = {"no_grad", "zero_grad", "finite_diff_check", "sum"}
+    # ops with a dedicated finite-difference test instead of a CASES entry
+    DEDICATED = {"matmul": (TestMatmul, "test_backward_vs_finite_difference"),
+                 "conv_nd": (TestConv, "test_gradients_both_operands")}
+
+    def test_every_tape_op_has_a_gradient_check(self):
+        public = {name: fn for name, fn in vars(T).items()
+                  if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                  and not name.startswith("_")}
+        assert self.NOT_OPS <= set(public)
+        # a case named <op> or <op>_<variant> checks that op
+        checked = set()
+        for key in self.CASES:
+            parts = key.split("_")
+            checked |= {public.get("_".join(parts[:i])) for i in range(1, len(parts) + 1)}
+        for name, (cls, test) in self.DEDICATED.items():
+            assert hasattr(cls, test), f"{name}: no test {cls.__name__}.{test}"
+            checked.add(public[name])
+        missing = sorted(name for name, fn in public.items()
+                         if name not in self.NOT_OPS and fn not in checked)
+        assert missing == []
 
 
 class TestFiniteDiff:

@@ -109,6 +109,19 @@ class TestOptimizers:
 
         npt.assert_array_equal(second_update([5.0, 5.0]), second_update([-3.0, 0.5]))
 
+    @pytest.mark.parametrize("opt,name", [("SGD", "lr"), ("Adam", "lr"),
+                                          ("Adam", "eps")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -0.01])
+    def test_step_sizes_must_be_finite_and_positive(self, opt, name, value):
+        with pytest.raises(ValueError, match=name):
+            {"SGD": SGD, "Adam": Adam}[opt](**{name: value})
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2"])
+    @pytest.mark.parametrize("value", [-0.1, 1.0, np.nan])
+    def test_adam_decays_lie_in_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Adam(**{name: value})
+
     def test_missing_grad_raises(self):
         w = Tensor([1.0], requires_grad=True)
         with pytest.raises(RuntimeError, match="gradient"):
@@ -126,6 +139,14 @@ class TestFit:
         with pytest.raises(ValueError, match="epochs"):
             fit(linear_probe_model(), np.zeros((2, 1)), np.zeros((2, 1)),
                 epochs=0, optimizer=SGD())
+
+    @pytest.mark.parametrize("batch_size", [-1, 0, 2.5])
+    def test_rejects_bad_batch_size(self, batch_size):
+        model = linear_probe_model(seed=15)
+        with pytest.raises(ValueError, match="batch_size"):
+            fit(model, np.zeros((4, 1)), np.zeros((4, 1)), epochs=1,
+                optimizer=SGD(), batch_size=batch_size)
+        assert not model.built
 
     def test_separable_two_points_reach_full_accuracy(self):
         x = np.array([[-1.0], [1.0]])
