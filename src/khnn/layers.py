@@ -113,7 +113,10 @@ class _Affine(Layer):
         self.bias = None
 
     def forward(self, x):
-        out = T.add_bias(self._linear(x), self.bias)
+        return self._finish(self._linear(x))
+
+    def _finish(self, z):
+        out = T.add_bias(z, self.bias)
         if self.activation:
             out = _ACTIVATIONS[self.activation](out)
         return out
@@ -240,16 +243,40 @@ class _HyperConv(_Affine):
             fan_in, fan_out, rng))
         self.bias = self._param(np.zeros(self.filters * n))
         self.in_shape = tuple(in_shape)
-        stride, _, out_spatial = T._conv_geometry(
-            (1, *in_shape), (*self.kernel_size, channels, self.filters * n),
-            self.stride, self.padding)
-        self.stride = stride
-        self.out_shape = (*out_spatial, self.filters * n)
+        self.stride, self.out_shape = self._geometry(in_shape)
         self.built = True
+
+    def _geometry(self, in_shape):
+        """Normalized stride and (O1..Od, filters*n) output for an input shape."""
+        width = self.filters * self.algebra.dim
+        stride, _, out_spatial = T._conv_geometry(
+            (1, *in_shape), (*self.kernel_size, in_shape[-1], width),
+            self.stride, self.padding)
+        return stride, (*out_spatial, width)
+
+    def output_shape(self, in_shape):
+        """Trailing output shape for an input of trailing shape in_shape."""
+        return self._geometry(in_shape)[1]
 
     def _linear(self, x):
         kernel = assemble_conv_kernel(self.weights, self.algebra)
         return T.conv_nd(x, kernel, stride=self.stride, padding=self.padding)
+
+    def forward_pooled(self, x):
+        """GlobalMaxPool().forward(self.forward(x)), pooled before the bias.
+
+        One conv_global_max_pool node stands for conv_nd, add_bias and
+        global_max_pool, and the bias and activation act on (B, F) only.
+        Pooling first keeps the values: rounding is monotone, so
+        max(z + b) == max(z) + b, and tanh and sigmoid are non-decreasing.
+        Only the gradient can move, at a tie: rounding in z + b or in the
+        activation can make two entries equal that z tells apart. The
+        layer-by-layer chain then routes the gradient to the first of
+        them, this path to the larger z.
+        """
+        kernel = assemble_conv_kernel(self.weights, self.algebra)
+        return self._finish(T.conv_global_max_pool(x, kernel, stride=self.stride,
+                                                   padding=self.padding))
 
     def config(self):
         return {"filters": self.filters, "kernel_size": self.kernel_size,

@@ -8,9 +8,10 @@ scalar walks the recorded graph newest tensor first. Every tensor is
 numbered at creation, after its parents, so a tensor's gradient is
 complete by the time the walk reaches it.
 
-Layer primitives (``expand_blocks``, ``global_max_pool``) are single
-operations with their own backward rule, one tape node each, not chains
-of generic ones.
+Layer primitives (``expand_blocks``, ``conv_nd``, ``global_max_pool``
+and ``conv_global_max_pool``, a convolution pooled to one value per
+channel) are single operations with their own backward rule, one tape
+node each, not chains of generic ones.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
@@ -388,20 +389,43 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     return stride, pads, out
 
 
-def _im2col(xp, ksize, stride, out_spatial):
-    """Patch matrix (B*prod(O), prod(K)*C) of the padded input xp.
+def _lowering(x, kernel, stride, padding):
+    """Checked geometry and zero-padded input data of a convolution.
 
-    Row (b, o) holds the patch under output position o, ordered
-    (K1..Kd, C) to match kernel.reshape(-1, C_out).
+    Returns (xp, stride, pads, out_spatial), stride normalized to a tuple.
     """
+    stride, pads, out_spatial = _conv_geometry(x.data.shape, kernel.data.shape,
+                                               stride, padding)
+    xp = x.data
+    if any(lo or hi for lo, hi in pads):
+        xp = np.pad(x.data, ((0, 0), *pads, (0, 0)))
+    return xp, stride, pads, out_spatial
+
+
+def _windows(xp, ksize, stride, out_spatial):
+    """Strided view (B, O1..Od, K1..Kd, C) of the patches of the padded input."""
     d = len(ksize)
     win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(1, d + 1)))
     # the view has one window per input position; keep every stride-th,
     # exactly out_spatial of them per axis
     win = win[(slice(None), *(slice(0, (o - 1) * st + 1, st)
                               for o, st in zip(out_spatial, stride)))]
-    win = np.moveaxis(win, d + 1, -1)           # (B, O.., C, K..) -> (B, O.., K.., C)
-    return win.reshape(-1, int(np.prod(ksize)) * xp.shape[-1])
+    return np.moveaxis(win, d + 1, -1)          # (B, O.., C, K..) -> (B, O.., K.., C)
+
+
+def _im2col(windows):
+    """Patch matrix (B*prod(O), prod(K)*C) of a _windows view.
+
+    Row (b, o) holds the patch under output position o, ordered
+    (K1..Kd, C) to match kernel.reshape(-1, C_out).
+    """
+    d = (windows.ndim - 2) // 2
+    return windows.reshape(-1, int(np.prod(windows.shape[d + 1:])))
+
+
+def _unpadded(pads, spatial):
+    """Slices of the padded spatial axes that hold the input itself."""
+    return tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, spatial))
 
 
 def conv_nd(x, kernel, stride=1, padding="valid"):
@@ -416,17 +440,13 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
     the input gradient scattered back over the patches (col2im).
     """
     x, kernel = _wrap(x), _wrap(kernel)
-    stride, pads, out_spatial = _conv_geometry(x.data.shape, kernel.data.shape,
-                                               stride, padding)
-    xp = x.data
-    if any(lo or hi for lo, hi in pads):
-        xp = np.pad(x.data, ((0, 0), *pads, (0, 0)))
-
+    xp, stride, pads, out_spatial = _lowering(x, kernel, stride, padding)
     kdata = kernel.data
     ksize, c_out = kdata.shape[:-2], kdata.shape[-1]
     kmat = kdata.reshape(-1, c_out)
     out_shape = (x.data.shape[0], *out_spatial, c_out)
-    out = (_im2col(xp, ksize, stride, out_spatial) @ kmat).astype(xp.dtype, copy=False)
+    windows = _windows(xp, ksize, stride, out_spatial)
+    out = (_im2col(windows) @ kmat).astype(xp.dtype, copy=False)
 
     def backward(g):
         # the patch matrix is rebuilt here rather than kept on the tape:
@@ -434,7 +454,7 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
         g = g.reshape(-1, c_out)
         dx = dk = None
         if kernel.requires_grad:
-            dk = (_im2col(xp, ksize, stride, out_spatial).T @ g).reshape(kdata.shape)
+            dk = (_im2col(windows).T @ g).reshape(kdata.shape)
         if x.requires_grad:
             # col2im, channels first: each offset's block of the patch
             # gradients is then contiguous and adds in long runs
@@ -445,13 +465,75 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
                 patch = tuple(slice(o, o + (n - 1) * st + 1, st)
                               for o, n, st in zip(off, out_spatial, stride))
                 dxp[(slice(None), slice(None), *patch)] += dcols[off]
-            inner = tuple(slice(lo, lo + s) for (lo, _), s
-                          in zip(pads, x.data.shape[1:-1]))
+            inner = _unpadded(pads, x.data.shape[1:-1])
             dx = dxp[(slice(None), slice(None), *inner)]   # drop the padding
             dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1))
         return dx, dk
 
     return _result(out.reshape(out_shape), (x, kernel), backward)
+
+
+# conv_global_max_pool runs its GEMM over blocks of about this many output
+# positions, so each block's conv output stays in cache while it is pooled
+_POOL_BLOCK_ROWS = 1024
+
+
+def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
+    """global_max_pool(conv_nd(x, kernel, stride, padding)) as one operation.
+
+    Maps (B, S1..Sd, C_in) to (B, C_out). The forward runs conv_nd's
+    im2col GEMM block by block over the batch and keeps only each
+    channel's maximum and, when recording, its position; the conv output
+    itself is never held. Ties route to the first maximum, as in
+    global_max_pool. The backward touches only the B*C_out winning
+    positions: the kernel gradient gathers their patches, and the input
+    gradient scatters the matching kernel columns back over them.
+    """
+    x, kernel = _wrap(x), _wrap(kernel)
+    xp, stride, pads, out_spatial = _lowering(x, kernel, stride, padding)
+    kdata = kernel.data
+    ksize, c_out = kdata.shape[:-2], kdata.shape[-1]
+    kmat = kdata.reshape(-1, c_out)
+    windows = _windows(xp, ksize, stride, out_spatial)
+    batch, positions = xp.shape[0], int(np.prod(out_spatial))
+    taped = _grad_enabled and (x.requires_grad or kernel.requires_grad)
+    pooled = np.empty((batch, c_out), dtype=xp.dtype)
+    idx = np.empty((batch, c_out), dtype=np.intp) if taped else None
+    step = max(1, _POOL_BLOCK_ROWS // positions)
+    for lo in range(0, batch, step):
+        z = (_im2col(windows[lo:lo + step]) @ kmat).astype(xp.dtype, copy=False)
+        z = z.reshape(-1, positions, c_out)
+        if taped:
+            best = z.argmax(axis=1)
+            idx[lo:lo + step] = best
+            pooled[lo:lo + step] = np.take_along_axis(z, best[:, None], axis=1)[:, 0]
+        else:
+            pooled[lo:lo + step] = z.max(axis=1)
+    if not taped:
+        return Tensor(pooled)
+
+    def backward(g):
+        # (b, position) of every channel's maximum, one spatial index array per axis
+        rows = np.arange(batch)[:, None]
+        pos = np.unravel_index(idx, out_spatial)
+        dx = dk = None
+        if kernel.requires_grad:
+            patches = windows[(rows, *pos)].reshape(batch, c_out, -1)
+            dk = np.einsum("bcp,bc->pc", patches, g).reshape(kdata.shape)
+        if x.requires_grad:
+            # flat index into xp of every (b, c_out, patch entry) pair
+            corner = np.ravel_multi_index(
+                (rows, *(p * st for p, st in zip(pos, stride)), 0), xp.shape)
+            within = np.ravel_multi_index(np.indices((*ksize, xp.shape[-1])),
+                                          xp.shape[1:]).reshape(-1)
+            flat = corner[:, :, None] + within
+            dxp = np.bincount(flat.reshape(-1), (g[:, :, None] * kmat.T).reshape(-1),
+                              minlength=xp.size)
+            dxp = dxp.reshape(xp.shape).astype(xp.dtype, copy=False)
+            dx = dxp[(slice(None), *_unpadded(pads, x.data.shape[1:-1]))]
+        return dx, dk
+
+    return _result(pooled, (x, kernel), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ def _check_data(x, y):
     y = np.asarray(y, dtype=x.dtype)
     if x.ndim == 0 or y.ndim == 0:
         raise ValueError(f"x and y need a batch axis, got shapes {x.shape} and {y.shape}")
+    if x.shape[0] == 0:
+        raise ValueError(f"x has no rows, shape {x.shape}")
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     for name, arr in (("x", x), ("y", y)):
@@ -155,11 +157,24 @@ def _check_data(x, y):
     return x, y
 
 
+def _check_target(pred, y):
+    """y must have the trailing shape of the model's output."""
+    if pred.data.shape[1:] != y.shape[1:]:
+        raise ValueError(f"y has trailing shape {y.shape[1:]} but the model "
+                         f"outputs {pred.data.shape[1:]}")
+
+
+def _positive_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+
+
 def evaluate(model, x, y, loss_fn=bce_loss):
     """Loss and accuracy on held-out data, without gradient recording."""
     x, y = _check_data(x, y)
     with no_grad():
         pred = model.forward(Tensor(x))
+        _check_target(pred, y)
         loss = loss_fn(pred, Tensor(y))
     return float(loss.data), accuracy(pred, y)
 
@@ -174,12 +189,9 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
     seed and an unbuilt model, initialization (and hence the whole run)
     is deterministic.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if batch_size is not None and (isinstance(batch_size, bool)
-                                   or not isinstance(batch_size, numbers.Integral)
-                                   or batch_size < 1):
-        raise ValueError(f"batch_size must be a positive int or None, got {batch_size!r}")
+    _positive_int("epochs", epochs)
+    if batch_size is not None:
+        _positive_int("batch_size", batch_size)
     x, y = _check_data(x, y)
     if validation is not None:
         validation = _check_data(*validation)
@@ -199,6 +211,7 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
         preds = np.zeros(y.shape)
         for lo, hi in bounds:
             out = model.forward(Tensor(x[lo:hi]))
+            _check_target(out, y)
             loss = loss_fn(out, Tensor(y[lo:hi]))
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(

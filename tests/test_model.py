@@ -77,6 +77,43 @@ class TestForward:
                 T.tensor_sum(model.forward(Tensor(XOR_X))).backward()
 
 
+def tape_ops(out):
+    """Names of the tensor ops recorded on the tape that produced out."""
+    ops, seen, todo = [], set(), [out]
+    while todo:
+        t = todo.pop()
+        if id(t) in seen or t._backward is None:
+            continue
+        seen.add(id(t))
+        ops.append(t._backward.__qualname__.split(".")[0])
+        todo.extend(t._parents)
+    return sorted(ops)
+
+
+class TestConvPoolFusion:
+    def test_conv_then_pool_records_one_fused_op(self):
+        model = Sequential([HyperConv2D(2, (2, 2), activation="tanh"), GlobalMaxPool(),
+                            Dense(1)], seed=4)
+        out = model.forward(Tensor(np.ones((2, 4, 4, 4))))
+        assert tape_ops(out) == ["add_bias", "add_bias", "conv_global_max_pool",
+                                 "expand_blocks", "matmul", "tanh"]
+        assert model.layers[1].in_shape == (3, 3, 8)
+
+    @pytest.mark.parametrize("tail", [lambda: [Flatten(), Dense(1)],
+                                      lambda: [Activation("tanh"), GlobalMaxPool()]])
+    def test_other_graphs_keep_the_separate_ops(self, tail):
+        model = Sequential([HyperConv2D(2, (2, 2)), *tail()], seed=5)
+        ops = tape_ops(model.forward(Tensor(np.ones((2, 4, 4, 4)))))
+        assert "conv_nd" in ops and "conv_global_max_pool" not in ops
+
+    def test_pool_is_built_for_the_conv_output_it_receives(self):
+        conv = HyperConv2D(2, (2, 2), seed=6)
+        conv.build((3, 3, 4), np.random.default_rng(6))
+        model = Sequential([conv, GlobalMaxPool()])
+        assert model.forward(Tensor(np.ones((1, 5, 6, 4)))).data.shape == (1, 8)
+        assert model.layers[1].in_shape == (4, 5, 8)
+
+
 class TestSummary:
     def test_requires_built_model(self):
         with pytest.raises(RuntimeError, match="unbuilt"):

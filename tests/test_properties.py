@@ -16,7 +16,8 @@ from khnn import tensor as T  # noqa: E402
 from khnn.algebra import (StructureConstants, load_algebra, predefined,  # noqa: E402
                           predefined_names, save_algebra)
 from khnn.layers import (Activation, Dense, Flatten, GlobalMaxPool,  # noqa: E402
-                         HyperConv1D, HyperConv2D, HyperConv3D, HyperDense)
+                         HyperConv1D, HyperConv2D, HyperConv3D, HyperDense,
+                         assemble_conv_kernel)
 from khnn.model import Sequential, load_model, save_model  # noqa: E402
 from khnn.tensor import Tensor  # noqa: E402
 from khnn.training import bce_loss  # noqa: E402
@@ -190,6 +191,127 @@ class TestHyperLayerProperties:
         expected = naive_hyperconv(algebra, layer.weights.data, layer.bias.data, x,
                                    stride=stride, padding=padding)
         npt.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+ACTIVATIONS = {"tanh": T.tanh, "sigmoid": T.sigmoid}
+
+
+def unfused_forward(model, x):
+    """model's layers one at a time: each conv as conv_nd, add_bias and activation.
+
+    Sequential.forward runs a conv directly followed by GlobalMaxPool as
+    one conv_global_max_pool; this chain pools the whole conv output.
+    """
+    for layer in model.layers:
+        if isinstance(layer, tuple(CONV_BY_D.values())):
+            kernel = assemble_conv_kernel(layer.weights, layer.algebra)
+            x = T.add_bias(T.conv_nd(x, kernel, stride=layer.stride,
+                                     padding=layer.padding), layer.bias)
+            if layer.activation:
+                x = ACTIVATIONS[layer.activation](x)
+        elif isinstance(layer, GlobalMaxPool):
+            x = T.global_max_pool(x)
+        else:
+            x = layer.forward(x)
+    return x
+
+
+def leaf_grads(out, leaves, weights):
+    """Gradients of sum(out * weights) for every leaf, which start clear."""
+    T.zero_grad(leaves)
+    T.tensor_sum(T.mul(out, Tensor(weights, dtype=out.data.dtype))).backward()
+    return [leaf.grad for leaf in leaves]
+
+
+@st.composite
+def pooled_stacks(draw):
+    """(model, x): one or two hyper convs, GlobalMaxPool and a Dense head.
+
+    The model is built, with drawn biases. A 'valid' conv's kernel fits
+    its input; 3-wide 'same' kernels pad on both sides.
+    """
+    algebra = predefined(draw(st.sampled_from(predefined_names())))
+    n = algebra.dim
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    d = draw(st.integers(1, 3))
+    shape = (*(draw(st.integers(3, 5 if d < 3 else 4)) for _ in range(d)),
+             draw(st.integers(1, 2)) * n)
+    x_shape = (draw(st.integers(1, 2)), *shape)
+    layers = []
+    for _ in range(draw(st.integers(1, 2))):
+        padding = draw(st.sampled_from(["valid", "same"]))
+        widest = 3 if padding == "same" else min(3, *shape[:-1])
+        layers.append(CONV_BY_D[d](
+            draw(st.integers(1, 2)), draw(st.integers(1, widest)), algebra=algebra,
+            stride=draw(st.one_of(st.integers(1, 2), st.tuples(*[st.integers(1, 2)] * d))),
+            padding=padding, activation=draw(st.sampled_from([None, "tanh", "sigmoid"])),
+            dtype=dtype))
+        shape = layers[-1].output_shape(shape)
+    layers += [GlobalMaxPool(), Dense(1, dtype=dtype)]
+    model = Sequential(layers, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(x_shape).astype(dtype)
+    model.predict(x)
+    for layer in model.layers:
+        if layer.params():
+            layer.bias.data = rng.standard_normal(layer.bias.data.shape).astype(dtype)
+    return model, x
+
+
+class TestConvPoolFusion:
+    @given(pooled_stacks(), st.integers(0, 2**32 - 1))
+    def test_fused_matches_unfused_chain(self, case, seed):
+        # the last conv and the pool run as one conv_global_max_pool; in a
+        # two-conv stack the input gradient of that op reaches the first
+        model, x = case
+        x = Tensor(x, requires_grad=True)
+        leaves = [x, *model.params()]
+        fused, chain = model.forward(x), unfused_forward(model, x)
+        assert fused.data.dtype == chain.data.dtype == x.data.dtype
+        tol = 1e-12 if x.data.dtype == np.float64 else 1e-5
+        npt.assert_allclose(fused.data, chain.data, rtol=tol, atol=tol)
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, fused.data.shape)
+        for got, want in zip(leaf_grads(fused, leaves, weights),
+                             leaf_grads(chain, leaves, weights)):
+            assert got.dtype == want.dtype
+            npt.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @given(st.sampled_from([np.float32, np.float64]).flatmap(lambda dtype: st.tuples(
+        *(arrays(dtype, shape,
+                 elements=st.floats(-40, 40, width=np.dtype(dtype).itemsize * 8))
+          for shape in [(3, 6, 4), 4]))))
+    def test_bias_and_activations_commute_with_max_bit_for_bit(self, case):
+        # why pooling before the bias and activation gives the same values
+        z, bias = case
+        npt.assert_array_equal((z + bias).max(axis=1), z.max(axis=1) + bias)
+        for f in ACTIVATIONS.values():
+            npt.assert_array_equal(f(Tensor(z)).data.max(axis=1),
+                                   f(Tensor(z.max(axis=1))).data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_input_routes_gradients_to_the_first_position(self, dtype):
+        # every position ties; both paths send each channel's gradient to
+        # position (0, 0), so only the first 2x2 patch of x gets one
+        model = Sequential([HyperConv2D(2, (2, 2), algebra="quaternions",
+                                        activation="tanh", dtype=dtype),
+                            GlobalMaxPool(), Dense(1, dtype=dtype)], seed=3)
+        x = Tensor(np.full((2, 4, 5, 4), 0.5, dtype=dtype), requires_grad=True)
+        model.predict(x.data)
+        conv = model.layers[0]
+        conv.bias.data = np.linspace(-1, 1, 8).astype(dtype)
+        z = T.conv_nd(x, assemble_conv_kernel(conv.weights, conv.algebra)).data
+        assert (z == z[:, :1, :1]).all()
+        leaves = [x, *model.params()]
+        weights = np.ones((2, 1))
+        fused = leaf_grads(model.forward(x), leaves, weights)
+        chain = leaf_grads(unfused_forward(model, x), leaves, weights)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        for got, want in zip(fused, chain):
+            npt.assert_allclose(got, want, rtol=tol, atol=tol)
+        support = np.zeros(x.data.shape, dtype=bool)
+        support[:, :2, :2] = True
+        for dx in (fused[0], chain[0]):
+            assert (dx[~support] == 0).all() and (dx[support] != 0).all()
 
 
 @st.composite

@@ -330,6 +330,12 @@ class TestBackward:
 
 # a non-unital, non-commutative (2, 2, 2) structure tensor
 _TABLE = np.array([[[0.5, -1.0], [2.0, 0.25]], [[-0.75, 1.5], [1.0, -2.0]]])
+# conv_global_max_pool operands whose other side is checked: both always
+# record, so one backward runs the patch gather and the input scatter
+_POOL_KERNEL = np.array([0.7, -0.4, -1.1, 0.9, 0.3, 1.3, 1.2, -0.5, -0.2, 0.8,
+                         0.6, -1.3]).reshape(3, 2, 1, 2)
+_POOL_INPUT = np.array([[[0.2], [-1.4], [0.9], [1.7], [-0.6]],
+                        [[1.1], [0.4], [-0.8], [-1.9], [0.5]]])              # (2, 5, 1)
 
 
 class TestOpGradients:
@@ -353,6 +359,12 @@ class TestOpGradients:
         "mean_axis": (lambda t: T.mean(T.reshape(t, (2, 3)), axis=0), -0.9, 0.9),
         "global_max_pool": (lambda t: T.global_max_pool(T.reshape(t, (1, 3, 2))),
                             -0.9, 0.9),
+        "conv_global_max_pool": (lambda t: T.conv_global_max_pool(
+            T.reshape(t, (1, 3, 2, 1)), Tensor(_POOL_KERNEL, requires_grad=True),
+            stride=(2, 1), padding="same"), -0.9, 0.9),
+        "conv_global_max_pool_kernel": (lambda t: T.conv_global_max_pool(
+            Tensor(_POOL_INPUT, requires_grad=True), T.reshape(t, (3, 1, 2)),
+            stride=2, padding="same"), -0.9, 0.9),
         "expand_blocks": (lambda t: T.expand_blocks(T.reshape(t, (3, 2)), _TABLE,
                                                     (1, 0, 2), (2, 6)), -0.9, 0.9),
         "reshape": (lambda t: T.reshape(t, (3, 2)), -0.9, 0.9),

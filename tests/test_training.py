@@ -140,6 +140,19 @@ class TestFit:
             fit(linear_probe_model(), np.zeros((2, 1)), np.zeros((2, 1)),
                 epochs=0, optimizer=SGD())
 
+    @pytest.mark.parametrize("epochs", [2.5, True, "2"])
+    def test_rejects_non_integer_epochs(self, epochs):
+        model = linear_probe_model(seed=16)
+        with pytest.raises(ValueError, match="epochs must be a positive int"):
+            fit(model, np.zeros((2, 1)), np.zeros((2, 1)), epochs=epochs,
+                optimizer=SGD())
+        assert not model.built
+
+    def test_accepts_numpy_integer_epochs(self):
+        history = fit(linear_probe_model(seed=17), np.zeros((2, 1)), np.zeros((2, 1)),
+                      epochs=np.int64(2), optimizer=SGD())
+        assert len(history) == 2
+
     @pytest.mark.parametrize("batch_size", [-1, 0, 2.5])
     def test_rejects_bad_batch_size(self, batch_size):
         model = linear_probe_model(seed=15)
@@ -249,6 +262,38 @@ class TestFit:
                 evaluate(model, x, y)
             else:
                 fit(model, y, y, epochs=1, optimizer=SGD(), validation=(x, y))
+
+    @pytest.mark.parametrize("run", ["fit", "evaluate", "validation"])
+    def test_zero_rows_are_named_not_diverged(self, run):
+        model = linear_probe_model(seed=18)
+        x, y = np.zeros((0, 2)), np.zeros((0, 1))
+        with pytest.raises(ValueError, match="x has no rows"):
+            if run == "fit":
+                fit(model, x, y, epochs=1, optimizer=SGD())
+            elif run == "evaluate":
+                evaluate(model, x, y)
+            else:
+                fit(model, np.zeros((2, 2)), np.zeros((2, 1)), epochs=1,
+                    optimizer=SGD(), validation=(x, y))
+
+    @pytest.mark.parametrize("run", ["fit", "evaluate", "validation", "built"])
+    @pytest.mark.parametrize("y_shape,shown", [((2, 3), r"\(3,\)"), ((2,), r"\(\)")],
+                             ids=["wide", "flat"])
+    def test_target_shape_must_match_the_output(self, run, y_shape, shown):
+        model = linear_probe_model(seed=19)
+        x, y = np.zeros((2, 2)), np.zeros(y_shape)
+        message = f"y has trailing shape {shown} but the model outputs \\(1,\\)"
+        with pytest.raises(ValueError, match=message):
+            if run == "fit":
+                fit(model, x, y, epochs=1, optimizer=SGD())
+            elif run == "evaluate":
+                evaluate(model, x, y)
+            elif run == "validation":
+                fit(model, x, np.zeros((2, 1)), epochs=1, optimizer=SGD(),
+                    validation=(x, y))
+            else:
+                model.predict(x)
+                fit(model, x, y, epochs=1, optimizer=SGD())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_named_not_diverged(self, bad):
