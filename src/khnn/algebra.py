@@ -175,8 +175,10 @@ def from_entries(entries, dim=None, name=None, strict=False):
 
 
 # ---------------------------------------------------------------------------
-# Law checks. All are exhaustive over basis tuples and exact (the tables
-# hold small integers, so no tolerance is involved).
+# Law checks. All are exhaustive over basis tuples. The unit check is
+# exact; the others compare products with an absolute tolerance of 1e-12
+# and no relative one, which is exact for the shipped tables of small
+# integers and absorbs rounding in a loaded table with non-integer entries.
 
 def check_unit(algebra):
     """e_0 x == x and x e_0 == x for all basis elements."""

@@ -10,6 +10,7 @@ overrides it when --seed is absent.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -97,9 +98,6 @@ def _xor_model(algebra, seed):
 
 def cmd_train_xor(args):
     algebra = _resolve_algebra(args.algebra)
-    if XOR_X.shape[1] % algebra.dim != 0:
-        raise CliError(f"algebra dim {algebra.dim} does not divide the XOR "
-                       f"input width {XOR_X.shape[1]}")
     seed = _seed_from(args)
     model = _xor_model(algebra, seed)
     optimizer = _make_optimizer(args.optimizer, args.lr)
@@ -121,20 +119,15 @@ def cmd_train_xor(args):
 
 def cmd_train_synth_images(args):
     algebra = _resolve_algebra(args.algebra)
-    if args.filters < 1:
-        raise CliError(f"filters must be >= 1, got {args.filters}")
-    if 4 % algebra.dim != 0:
-        raise CliError(f"algebra dim {algebra.dim} does not divide the 4 image "
-                       "channels")
     seed = _seed_from(args)
-    (x_train, y_train), val, (x_test, y_test) = motif_splits(
-        seed=seed, alpha_zero=args.alpha_zero)
     model = Sequential([
         HyperConv2D(args.filters, (3, 3), algebra=algebra),
         GlobalMaxPool(),
         Dense(1),
         Activation("sigmoid"),
     ], seed=seed + 1)
+    (x_train, y_train), val, (x_test, y_test) = motif_splits(
+        seed=seed, alpha_zero=args.alpha_zero)
     # one full-batch step per epoch, so the default step size is larger
     # than the optimizer's mini-batch default
     optimizer = _make_optimizer(args.optimizer, args.lr, adam_lr=0.01)
@@ -159,30 +152,28 @@ def cmd_param_report(args):
             raise CliError(f"--{flag} must be >= 1, got {value}")
     algebra = _resolve_algebra(args.algebra)
     n = algebra.dim
-    if args.width % n != 0:
-        raise CliError(f"input width {args.width} is not a multiple of algebra "
-                       f"dim {n}")
-    m = args.width // n
+    # the hyper layer and its real twin, of the same output width; their
+    # parameter shapes come from the layers, which allocate nothing here
     if args.units is not None:
-        u = args.units
-        hyper_w = u * m * n
-        real_w = (m * n) * (u * n)
-        bias = u * n
-        label = f"dense, units={u}, input width={args.width}"
+        layers = (HyperDense(args.units, algebra=algebra), Dense(args.units * n))
+        in_shape = (args.width,)
+        label = f"dense, units={args.units}, input width={args.width}"
     else:
-        f = args.filters
-        k = args.kernel ** 2
-        hyper_w = k * m * f * n
-        real_w = k * (m * n) * (f * n)
-        bias = f * n
-        label = (f"conv2d, filters={f}, kernel={args.kernel}x{args.kernel}, "
+        k = args.kernel
+        layers = (HyperConv2D(args.filters, k, algebra=algebra),
+                  HyperConv2D(args.filters * n, k, algebra="reals"))
+        in_shape = (k, k, args.width)
+        label = (f"conv2d, filters={args.filters}, kernel={k}x{k}, "
                  f"input channels={args.width}")
+    (hyper_w, bias), (real_w, real_bias) = (
+        [math.prod(shape) for shape in layer.param_shapes(in_shape)]
+        for layer in layers)
     name = algebra.name or args.algebra
     print(f"algebra: {name} (dim {n})")
     print(f"layer:   {label}")
     print(f"{'':14}{'hyper':>10}{'real':>10}")
     print(f"{'weights':14}{hyper_w:>10}{real_w:>10}")
-    print(f"{'biases':14}{bias:>10}{bias:>10}")
+    print(f"{'biases':14}{bias:>10}{real_bias:>10}")
     print(f"weight ratio (real/hyper): {real_w // hyper_w}")
     return 0
 

@@ -10,12 +10,18 @@ as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
 
-Shapes are inferred at the first forward pass. Weights draw from a
-uniform distribution with limit sqrt(6 / (fan_in + fan_out)) where the
-fans count real scalars; biases start at zero.
+Each layer states its shapes once, in output_shape(in_shape), and a layer
+with weights their layout in param_shapes(in_shape) -> (weight shape, bias
+shape); both check the input. The first forward pass builds a layer from
+the input shape it sees. Weights draw from a uniform distribution with
+limit sqrt(6 / (fan_in + fan_out)), each fan being the lowered real
+kernel's receptive field (prod(kernel_size), 1 for dense layers) times its
+input or output channels, as in Keras. Biases start at zero.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -59,9 +65,14 @@ class Layer:
         return type(self).__name__
 
     def build(self, in_shape, rng):
+        """Record the input and output shapes; rng seeds any weights."""
+        self.out_shape = self.output_shape(tuple(in_shape))
         self.in_shape = tuple(in_shape)
-        self.out_shape = tuple(in_shape)
         self.built = True
+
+    def output_shape(self, in_shape):
+        """Trailing output shape for an input of trailing shape in_shape."""
+        return tuple(in_shape)
 
     def forward(self, x):
         raise NotImplementedError
@@ -101,7 +112,12 @@ class Layer:
 
 
 class _Affine(Layer):
-    """A layer computing activation(self._linear(x) + bias)."""
+    """A layer computing activation(self._linear(x) + bias).
+
+    The bias spans the output channels, so it gives the output width.
+    """
+
+    kernel_size = ()   # spatial extent of the kernel; dense layers have none
 
     def __init__(self, activation, seed, dtype):
         super().__init__(seed, dtype)
@@ -111,6 +127,24 @@ class _Affine(Layer):
         self.activation = activation
         self.weights = None
         self.bias = None
+
+    def build(self, in_shape, rng):
+        super().build(in_shape, rng)
+        weight_shape, bias_shape = self.param_shapes(self.in_shape)
+        receptive = math.prod(self.kernel_size)
+        fan_in, fan_out = receptive * self.in_shape[-1], receptive * bias_shape[0]
+        self.weights = self._param(glorot_uniform(weight_shape, fan_in, fan_out, rng))
+        self.bias = self._param(np.zeros(bias_shape))
+
+    def output_shape(self, in_shape):
+        return self.param_shapes(in_shape)[1]
+
+    def _flat_width(self, in_shape):
+        """The width of a flat (batch, width) input."""
+        if len(in_shape) != 1:
+            raise ShapeError(f"{self.name} expects flat (batch, width) input, "
+                             f"got trailing shape {tuple(in_shape)}")
+        return in_shape[0]
 
     def forward(self, x):
         return self._finish(self._linear(x))
@@ -165,31 +199,19 @@ class HyperDense(_Affine):
     def __init__(self, units, algebra=None, activation=None, input_shape=None,
                  seed=None, dtype=np.float64):
         super().__init__(activation, seed, dtype)
-        if units < 1:
-            raise ValueError(f"units must be >= 1, got {units}")
-        self.units = int(units)
+        self.units = T._positive_int("units", units)
         self.algebra = _resolve_algebra(algebra)
-        self.in_elems = None
         if input_shape is not None:
-            self.build(tuple(input_shape), np.random.default_rng(seed))
+            self.build(input_shape, np.random.default_rng(seed))
 
-    def build(self, in_shape, rng):
+    def param_shapes(self, in_shape):
+        """(units, m, n) weight elements and a units*n bias, for m*n inputs."""
         n = self.algebra.dim
-        if len(in_shape) != 1:
-            raise ShapeError(f"{self.name} expects flat (batch, width) input, "
-                             f"got trailing shape {tuple(in_shape)}")
-        width = in_shape[0]
+        width = self._flat_width(in_shape)
         if width % n != 0:
             raise ShapeError(f"{self.name}: input width {width} is not a multiple "
                              f"of algebra dim {n}")
-        self.in_elems = width // n
-        fan_in, fan_out = width, self.units * n
-        self.weights = self._param(glorot_uniform(
-            (self.units, self.in_elems, n), fan_in, fan_out, rng))
-        self.bias = self._param(np.zeros(fan_out))
-        self.in_shape = (width,)
-        self.out_shape = (fan_out,)
-        self.built = True
+        return (self.units, width // n, n), (self.units * n,)
 
     def _linear(self, x):
         if x.data.ndim != 2 or x.data.shape[1] != self.in_shape[0]:
@@ -198,8 +220,9 @@ class HyperDense(_Affine):
         return T.matmul(x, assemble_block_matrix(self.weights, self.algebra))
 
     def config(self):
+        elems = self.in_shape[0] // self.algebra.dim if self.built else None
         return {"units": self.units, "activation": self.activation,
-                "in_elems": self.in_elems, "dtype": self.dtype.name}
+                "in_elems": elems, "dtype": self.dtype.name}
 
     def _shape_from(self, elems):
         return (elems * self.algebra.dim,)
@@ -213,20 +236,13 @@ class _HyperConv(_Affine):
     def __init__(self, filters, kernel_size, algebra=None, stride=1,
                  padding="valid", activation=None, seed=None, dtype=np.float64):
         super().__init__(activation, seed, dtype)
-        if filters < 1:
-            raise ValueError(f"filters must be >= 1, got {filters}")
-        self.filters = int(filters)
-        if isinstance(kernel_size, int):
-            kernel_size = (kernel_size,) * self.ndim
-        self.kernel_size = tuple(int(k) for k in kernel_size)
-        if len(self.kernel_size) != self.ndim or min(self.kernel_size) < 1:
-            raise ValueError(f"{self.name} kernel_size {kernel_size!r} must be "
-                             f"{self.ndim} positive ints")
-        self.stride = stride
-        self.padding = padding
+        self.filters = T._positive_int("filters", filters)
+        self.kernel_size = T._per_axis("kernel_size", kernel_size, self.ndim)
+        self.stride, self.padding = T._conv_options(stride, padding, self.ndim)
         self.algebra = _resolve_algebra(algebra)
 
-    def build(self, in_shape, rng):
+    def param_shapes(self, in_shape):
+        """(K.., G, filters, n) weights and a filters*n bias, for G*n channels."""
         n = self.algebra.dim
         if len(in_shape) != self.ndim + 1:
             raise ShapeError(f"{self.name} expects (batch, {self.ndim} spatial axes, "
@@ -235,28 +251,14 @@ class _HyperConv(_Affine):
         if channels % n != 0:
             raise ShapeError(f"{self.name}: {channels} input channels are not a "
                              f"multiple of algebra dim {n}")
-        receptive = int(np.prod(self.kernel_size))
-        fan_in = receptive * channels
-        fan_out = receptive * self.filters * n
-        self.weights = self._param(glorot_uniform(
-            (*self.kernel_size, channels // n, self.filters, n),
-            fan_in, fan_out, rng))
-        self.bias = self._param(np.zeros(self.filters * n))
-        self.in_shape = tuple(in_shape)
-        self.stride, self.out_shape = self._geometry(in_shape)
-        self.built = True
-
-    def _geometry(self, in_shape):
-        """Normalized stride and (O1..Od, filters*n) output for an input shape."""
-        width = self.filters * self.algebra.dim
-        stride, _, out_spatial = T._conv_geometry(
-            (1, *in_shape), (*self.kernel_size, in_shape[-1], width),
-            self.stride, self.padding)
-        return stride, (*out_spatial, width)
+        return (*self.kernel_size, channels // n, self.filters, n), (self.filters * n,)
 
     def output_shape(self, in_shape):
-        """Trailing output shape for an input of trailing shape in_shape."""
-        return self._geometry(in_shape)[1]
+        (width,) = self.param_shapes(in_shape)[1]
+        _, _, out_spatial = T._conv_geometry(
+            (1, *in_shape), (*self.kernel_size, in_shape[-1], width),
+            self.stride, self.padding)
+        return (*out_spatial, width)
 
     def _linear(self, x):
         kernel = assemble_conv_kernel(self.weights, self.algebra)
@@ -308,21 +310,11 @@ class Dense(_Affine):
 
     def __init__(self, units, activation=None, seed=None, dtype=np.float64):
         super().__init__(activation, seed, dtype)
-        if units < 1:
-            raise ValueError(f"units must be >= 1, got {units}")
-        self.units = int(units)
+        self.units = T._positive_int("units", units)
 
-    def build(self, in_shape, rng):
-        if len(in_shape) != 1:
-            raise ShapeError(f"Dense expects flat (batch, width) input, got "
-                             f"trailing shape {tuple(in_shape)}")
-        width = in_shape[0]
-        self.weights = self._param(glorot_uniform((width, self.units), width,
-                                                  self.units, rng))
-        self.bias = self._param(np.zeros(self.units))
-        self.in_shape = (width,)
-        self.out_shape = (self.units,)
-        self.built = True
+    def param_shapes(self, in_shape):
+        """A (width, units) weight matrix and a units-wide bias."""
+        return (self._flat_width(in_shape), self.units), (self.units,)
 
     def _linear(self, x):
         return T.matmul(x, self.weights)
@@ -362,13 +354,11 @@ class GlobalMaxPool(Layer):
 
     file_tag = "global_max_pool"
 
-    def build(self, in_shape, rng):
+    def output_shape(self, in_shape):
         if len(in_shape) < 2:
             raise ShapeError(f"GlobalMaxPool needs spatial axes, got trailing "
                              f"shape {tuple(in_shape)}")
-        self.in_shape = tuple(in_shape)
-        self.out_shape = (in_shape[-1],)
-        self.built = True
+        return (in_shape[-1],)
 
     def forward(self, x):
         return T.global_max_pool(x)
@@ -377,10 +367,8 @@ class GlobalMaxPool(Layer):
 class Flatten(Layer):
     file_tag = "flatten"
 
-    def build(self, in_shape, rng):
-        self.in_shape = tuple(in_shape)
-        self.out_shape = (int(np.prod(in_shape)),)
-        self.built = True
+    def output_shape(self, in_shape):
+        return (math.prod(in_shape),)
 
     def forward(self, x):
         return T.flatten(x)

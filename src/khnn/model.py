@@ -89,7 +89,8 @@ class Sequential:
             if (isinstance(layer, L._HyperConv) and i + 1 < len(layers)
                     and isinstance(layers[i + 1], L.GlobalMaxPool)):
                 # conv then pool in one op, which never holds the conv output
-                self._build(i + 1, layer.output_shape(x.data.shape[1:]))
+                if not layers[i + 1].built:
+                    self._build(i + 1, layer.output_shape(x.data.shape[1:]))
                 x = layer.forward_pooled(x)
                 i += 2
             else:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from contextlib import contextmanager
 
 import numpy as np
@@ -172,6 +173,13 @@ def _result(data, parents, backward):
     return out
 
 
+def _positive_int(name, value):
+    """value as an int; it must be a positive int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
+
+
 def _check_same_shape(op, a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
@@ -254,9 +262,6 @@ def tensor_sum(x, axis=None):
     return _result(out, (x,), backward)
 
 
-sum = tensor_sum  # noqa: A001 - numpy-style namespaced reduction
-
-
 def mean(x, axis=None):
     x = _wrap(x)
     count = x.data.size if axis is None else x.data.shape[axis]
@@ -296,9 +301,7 @@ def global_max_pool(x):
         raise ShapeError(f"global_max_pool needs (B, spatial..., C), got {x.data.shape}")
     b, c = x.data.shape[0], x.data.shape[-1]
     flat = x.data.reshape(b, -1, c)
-    if not (_grad_enabled and x.requires_grad):
-        return Tensor(flat.max(axis=1))
-    # one pass: the max is read off at the argmax the backward needs anyway
+    # one pass: the max is read off at the argmax the backward needs
     idx = flat.argmax(axis=1)[:, None]
     out = np.take_along_axis(flat, idx, axis=1)[:, 0]
 
@@ -351,6 +354,23 @@ def expand_blocks(x, table, axes, shape):
 # ---------------------------------------------------------------------------
 # convolution
 
+def _per_axis(name, value, d):
+    """An int, or a sequence of d ints, as a d-tuple of positive ints."""
+    if np.ndim(value) == 0:
+        value = (value,) * d
+    value = tuple(_positive_int(name, v) for v in value)
+    if len(value) != d:
+        raise ShapeError(f"{name} {value} does not fit {d} spatial axes")
+    return value
+
+
+def _conv_options(stride, padding, d):
+    """stride as a d-tuple of positive ints, and padding, checked."""
+    if padding not in ("valid", "same"):
+        raise ShapeError(f"unknown padding {padding!r} (use 'valid' or 'same')")
+    return _per_axis("stride", stride, d), padding
+
+
 def _conv_geometry(x_shape, k_shape, stride, padding):
     d = len(k_shape) - 2
     if d not in (1, 2, 3):
@@ -362,24 +382,18 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
                          f"in-channels {k_shape[-2]}")
     spatial = x_shape[1:-1]
     ksize = k_shape[:-2]
-    if isinstance(stride, int):
-        stride = (stride,) * d
-    stride = tuple(int(s) for s in stride)
-    if len(stride) != d or any(s < 1 for s in stride):
-        raise ShapeError(f"stride {stride} does not fit {d} spatial axes")
+    stride, padding = _conv_options(stride, padding, d)
 
     if padding == "valid":
         pads = tuple((0, 0) for _ in range(d))
         out = tuple((s - k) // st + 1 for s, k, st in zip(spatial, ksize, stride))
-    elif padding == "same":
+    else:
         out = tuple(-(-s // st) for s, st in zip(spatial, stride))
         pads = []
         for s, k, st, o in zip(spatial, ksize, stride, out):
             total = max((o - 1) * st + k - s, 0)
             pads.append((total // 2, total - total // 2))
         pads = tuple(pads)
-    else:
-        raise ShapeError(f"unknown padding {padding!r} (use 'valid' or 'same')")
 
     padded = tuple(s + lo + hi for s, (lo, hi) in zip(spatial, pads))
     if any(k > p for k, p in zip(ksize, padded)):
@@ -483,11 +497,11 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
 
     Maps (B, S1..Sd, C_in) to (B, C_out). The forward runs conv_nd's
     im2col GEMM block by block over the batch and keeps only each
-    channel's maximum and, when recording, its position; the conv output
-    itself is never held. Ties route to the first maximum, as in
-    global_max_pool. The backward touches only the B*C_out winning
-    positions: the kernel gradient gathers their patches, and the input
-    gradient scatters the matching kernel columns back over them.
+    channel's maximum and its position; the conv output itself is never
+    held. Ties route to the first maximum, as in global_max_pool. The
+    backward touches only the B*C_out winning positions: the kernel
+    gradient gathers their patches, and the input gradient scatters the
+    matching kernel columns back over them.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     xp, stride, pads, out_spatial = _lowering(x, kernel, stride, padding)
@@ -496,21 +510,15 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     kmat = kdata.reshape(-1, c_out)
     windows = _windows(xp, ksize, stride, out_spatial)
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
-    taped = _grad_enabled and (x.requires_grad or kernel.requires_grad)
     pooled = np.empty((batch, c_out), dtype=xp.dtype)
-    idx = np.empty((batch, c_out), dtype=np.intp) if taped else None
+    idx = np.empty((batch, c_out), dtype=np.intp)
     step = max(1, _POOL_BLOCK_ROWS // positions)
     for lo in range(0, batch, step):
         z = (_im2col(windows[lo:lo + step]) @ kmat).astype(xp.dtype, copy=False)
         z = z.reshape(-1, positions, c_out)
-        if taped:
-            best = z.argmax(axis=1)
-            idx[lo:lo + step] = best
-            pooled[lo:lo + step] = np.take_along_axis(z, best[:, None], axis=1)[:, 0]
-        else:
-            pooled[lo:lo + step] = z.max(axis=1)
-    if not taped:
-        return Tensor(pooled)
+        best = z.argmax(axis=1)
+        idx[lo:lo + step] = best
+        pooled[lo:lo + step] = np.take_along_axis(z, best[:, None], axis=1)[:, 0]
 
     def backward(g):
         # (b, position) of every channel's maximum, one spatial index array per axis

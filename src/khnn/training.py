@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,11 +163,6 @@ def _check_target(pred, y):
                          f"outputs {pred.data.shape[1:]}")
 
 
-def _positive_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive int, got {value!r}")
-
-
 def evaluate(model, x, y, loss_fn=bce_loss):
     """Loss and accuracy on held-out data, without gradient recording."""
     x, y = _check_data(x, y)
@@ -189,11 +183,15 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
     seed and an unbuilt model, initialization (and hence the whole run)
     is deterministic.
     """
-    _positive_int("epochs", epochs)
+    T._positive_int("epochs", epochs)
     if batch_size is not None:
-        _positive_int("batch_size", batch_size)
+        T._positive_int("batch_size", batch_size)
     x, y = _check_data(x, y)
     if validation is not None:
+        if not (isinstance(validation, (tuple, list)) and len(validation) == 2):
+            size = f" of {len(validation)}" if isinstance(validation, (tuple, list)) else ""
+            raise ValueError(f"validation must be an (x, y) pair, got a "
+                             f"{type(validation).__name__}{size}")
         validation = _check_data(*validation)
     if seed is not None and not model.built and model.seed is None:
         model.seed = seed

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from khnn import layers as L
+from khnn.algebra import predefined, predefined_names
 from khnn.cli import main
+from khnn.layers import Dense, HyperConv2D, HyperDense
+from khnn.tensor import Tensor
 
 
 def run(capsys, *argv):
@@ -168,6 +172,13 @@ class TestTrainSynthImages:
         assert code == 2
         assert "filters" in err
 
+    def test_indivisible_channels_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "train-synth-images", "--algebra", "octonions",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert "dim 8" in err
+        assert not (tmp_path / "history.csv").exists()
+
     def test_alpha_zero_mode(self, capsys, tmp_path):
         code, _, _ = run(capsys, "train-synth-images", "--epochs", "1",
                          "--filters", "2", "--alpha-zero", "--out", str(tmp_path))
@@ -226,6 +237,40 @@ class TestParamReport:
         code, out, err = run(capsys, "param-report", *flags)
         assert code == 2
         assert out == "" and err.startswith(f"error: {name} must be >= 1")
+
+    @pytest.mark.parametrize("mode", ["dense", "conv"])
+    @pytest.mark.parametrize("name", predefined_names())
+    def test_counts_are_the_built_layers_param_counts(self, capsys, name, mode):
+        n = predefined(name).dim
+        width = 2 * n
+        if mode == "dense":
+            flags = ["--units", "3"]
+            layers = (HyperDense(3, algebra=name), Dense(3 * n))
+            x = np.zeros((1, width))
+        else:
+            flags = ["--filters", "2", "--kernel", "2"]
+            layers = (HyperConv2D(2, 2, algebra=name),
+                      HyperConv2D(2 * n, 2, algebra="reals"))
+            x = np.zeros((1, 3, 3, width))
+        code, out, _ = run(capsys, "param-report", "--algebra", name, *flags,
+                           "--width", str(width))
+        assert code == 0
+        rows = {line.split()[0]: [int(v) for v in line.split()[1:]]
+                for line in out.splitlines() if line.startswith(("weights", "biases"))}
+        for column, layer in enumerate(layers):
+            layer(Tensor(x))
+            assert rows["weights"][column] == layer.weights.data.size
+            assert rows["weights"][column] + rows["biases"][column] == layer.param_count()
+
+    def test_allocates_no_weights(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("param-report drew weights")
+
+        monkeypatch.setattr(L, "glorot_uniform", refuse)
+        code, out, _ = run(capsys, "param-report", "--algebra", "octonions",
+                           "--units", "4096", "--width", "4096")
+        assert code == 0
+        assert "134217728" in out
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from khnn import layers as L
 from khnn import tensor as T
 from khnn.algebra import predefined, predefined_names
 from khnn.layers import (
@@ -15,7 +16,9 @@ from khnn.layers import (
     HyperDense,
     assemble_block_matrix,
     assemble_conv_kernel,
+    glorot_uniform,
 )
+from khnn.model import LAYER_CLASSES
 from khnn.tensor import ShapeError, Tensor
 
 from conftest import naive_hyperconv, naive_hyperdense
@@ -193,6 +196,108 @@ class TestHelperLayers:
         x[0, 1, 1, 0] = 4.0
         out = GlobalMaxPool()(Tensor(x))
         npt.assert_array_equal(out.data, [[4.0]])
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize("make,name", [
+        (lambda: HyperDense(2.5), "units"),
+        (lambda: HyperDense("4"), "units"),
+        (lambda: HyperDense(0), "units"),
+        (lambda: Dense(True), "units"),
+        (lambda: Dense(1.0), "units"),
+        (lambda: HyperConv2D(False, 3), "filters"),
+        (lambda: HyperConv2D(-1, 3), "filters"),
+        (lambda: HyperConv2D(8, (2.5, 3)), "kernel_size"),
+        (lambda: HyperConv1D(2, True), "kernel_size"),
+        (lambda: HyperConv3D(2, (2, 0, 2)), "kernel_size"),
+    ], ids=["dense-float", "dense-str", "dense-zero", "real-bool", "real-float",
+            "conv-bool", "conv-negative", "kernel-float", "kernel-bool", "kernel-zero"])
+    def test_sizes_must_be_positive_ints(self, make, name):
+        with pytest.raises(ValueError, match=f"{name} must be a positive int"):
+            make()
+
+    def test_numpy_ints_become_ints(self):
+        layer = HyperConv2D(np.int64(3), (np.int32(2), 2), algebra="complex")
+        assert type(layer.filters) is int and layer.filters == 3
+        assert layer.kernel_size == (2, 2)
+        assert all(type(k) is int for k in layer.kernel_size)
+
+    def test_kernel_size_needs_one_entry_per_axis(self):
+        with pytest.raises(ShapeError, match="kernel_size"):
+            HyperConv2D(2, (3,))
+
+
+class TestConvOptions:
+    @pytest.mark.parametrize("stride", [1.5, (1.5, 1), 0, (1, 0), True, "2"])
+    def test_bad_stride_fails_at_construction(self, stride):
+        with pytest.raises(ValueError, match="stride must be a positive int"):
+            HyperConv2D(2, 3, stride=stride)
+
+    def test_stride_needs_one_entry_per_axis(self):
+        with pytest.raises(ShapeError, match="stride"):
+            HyperConv2D(2, 3, stride=(1, 1, 1))
+
+    @pytest.mark.parametrize("padding", ["SAME", "full", None])
+    def test_unknown_padding_fails_at_construction(self, padding):
+        with pytest.raises(ShapeError, match="unknown padding"):
+            HyperConv2D(2, 3, padding=padding)
+
+    @pytest.mark.parametrize("stride,expected", [(2, (2, 2)), ([2, 1], (2, 1)),
+                                                 (np.array([1, 2]), (1, 2))])
+    def test_stride_is_a_tuple_from_construction(self, stride, expected):
+        layer = HyperConv2D(2, 3, stride=stride)
+        assert layer.stride == expected
+        assert all(type(s) is int for s in layer.stride)
+
+    def test_conv_nd_applies_the_same_rule(self):
+        x, k = Tensor(np.ones((1, 4, 4, 1))), Tensor(np.ones((2, 2, 1, 1)))
+        with pytest.raises(ValueError, match="stride must be a positive int, got 1.5"):
+            T.conv_nd(x, k, stride=(1.5, 1))
+        with pytest.raises(ShapeError, match="unknown padding 'SAME'"):
+            T.conv_nd(x, k, padding="SAME")
+
+
+class TestShapes:
+    # (layer, input shape); each layer is fresh per test
+    CASES = {
+        "hyper_dense": (lambda: HyperDense(3, algebra="quaternions"), (2, 8)),
+        "dense": (lambda: Dense(2), (2, 5)),
+        "conv1d": (lambda: HyperConv1D(2, 3, algebra="complex", stride=2,
+                                       padding="same"), (2, 7, 4)),
+        "conv2d": (lambda: HyperConv2D(1, (2, 3), algebra="quaternions",
+                                       stride=(2, 1)), (1, 5, 6, 8)),
+        "conv3d": (lambda: HyperConv3D(1, 2, algebra="octonions"), (1, 3, 4, 3, 8)),
+        "pool": (lambda: GlobalMaxPool(), (2, 3, 3, 4)),
+        "flatten": (lambda: Flatten(), (2, 3, 4)),
+        "activation": (lambda: Activation("tanh"), (2, 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_stated_shapes_are_the_built_shapes(self, name):
+        make, x_shape = self.CASES[name]
+        layer = make()
+        out_shape = layer.output_shape(x_shape[1:])
+        params = (layer.param_shapes(x_shape[1:]) if hasattr(layer, "param_shapes")
+                  else None)
+        assert not layer.built
+        out = layer(Tensor(np.random.default_rng(0).standard_normal(x_shape)))
+        assert out.data.shape == (x_shape[0], *out_shape)
+        assert layer.in_shape == x_shape[1:] and layer.out_shape == out_shape
+        if params is not None:
+            assert (layer.weights.data.shape, layer.bias.data.shape) == params
+
+    def test_layers_build_only_through_the_two_base_builds(self):
+        owners = {owner for cls in LAYER_CLASSES for owner in cls.__mro__
+                  if "build" in vars(owner)}
+        assert owners == {L.Layer, L._Affine}
+
+    def test_conv_fans_are_receptive_field_times_channels(self):
+        # a (2, 3) kernel over 8 channels to 3 quaternion filters (12 channels)
+        layer = HyperConv2D(3, (2, 3), algebra="quaternions")
+        layer.build((5, 5, 8), np.random.default_rng(9))
+        expected = glorot_uniform((2, 3, 2, 3, 4), 6 * 8, 6 * 12,
+                                  np.random.default_rng(9))
+        npt.assert_array_equal(layer.weights.data, expected)
 
 
 class TestInit:

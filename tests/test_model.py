@@ -301,6 +301,19 @@ class TestSerialization:
         out = loaded.forward(Tensor(np.zeros((1, 4))))
         assert out.data.shape == (1, 1)
 
+    def test_unbuilt_conv_records_stride_per_axis_and_a_scalar_loads(self, tmp_path):
+        model = Sequential([HyperConv2D(2, 3, algebra="complex", stride=2),
+                            GlobalMaxPool(), Dense(1)], seed=3)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["layers"][0]["config"]["stride"] == [2, 2]
+        doc["layers"][0]["config"]["stride"] = 1   # as files of unbuilt models held it
+        path.write_text(json.dumps(doc))
+        loaded = load_model(path)
+        assert loaded.layers[0].stride == (1, 1)
+        assert loaded.predict(np.zeros((1, 5, 5, 2))).shape == (1, 1)
+
     def test_float32_model_roundtrip_exact(self, tmp_path):
         model = Sequential([HyperDense(2, algebra="complex", dtype=np.float32)],
                            seed=11)

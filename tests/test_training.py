@@ -295,6 +295,17 @@ class TestFit:
                 model.predict(x)
                 fit(model, x, y, epochs=1, optimizer=SGD())
 
+    @pytest.mark.parametrize("validation", [
+        (np.zeros((2, 1)),),
+        (np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))),
+        np.zeros((2, 1)),
+        "xy",
+    ], ids=["one", "three", "array", "str"])
+    def test_validation_must_be_an_x_y_pair(self, validation):
+        with pytest.raises(ValueError, match=r"validation must be an \(x, y\) pair"):
+            fit(linear_probe_model(seed=20), np.zeros((2, 1)), np.zeros((2, 1)),
+                epochs=1, optimizer=SGD(), validation=validation)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_is_named_not_diverged(self, bad):
         model = linear_probe_model(seed=13)
