@@ -12,11 +12,13 @@ units over an n-dimensional algebra emits u*n real scalars.
 
 Each layer states its shapes once, in output_shape(in_shape), and a layer
 with weights their layout in param_shapes(in_shape) -> (weight shape, bias
-shape); both check the input. The first forward pass builds a layer from
-the input shape it sees. Weights draw from a uniform distribution with
-limit sqrt(6 / (fan_in + fan_out)), each fan being the lowered real
-kernel's receptive field (prod(kernel_size), 1 for dense layers) times its
-input or output channels, as in Keras. Biases start at zero.
+shape); both check the input. A model builds all its layers in one pass
+at its first forward, a lone layer from the first input it sees. A built
+layer then rejects input that would size other weights, naming itself.
+Weights draw from a uniform distribution with limit
+sqrt(6 / (fan_in + fan_out)), each fan being the lowered real kernel's
+receptive field (prod(kernel_size), 1 for dense layers) times its input
+or output channels, as in Keras. Biases start at zero.
 """
 
 from __future__ import annotations
@@ -141,12 +143,25 @@ class _Affine(Layer):
 
     def _flat_width(self, in_shape):
         """The width of a flat (batch, width) input."""
-        if len(in_shape) != 1:
+        if len(in_shape) != 1 or in_shape[0] < 1:
             raise ShapeError(f"{self.name} expects flat (batch, width) input, "
-                             f"got trailing shape {tuple(in_shape)}")
+                             f"width >= 1, got trailing shape {tuple(in_shape)}")
         return in_shape[0]
 
+    def _check_input(self, x):
+        """Reject x unless it sizes the built weights (a conv's other sizes do)."""
+        shape = x.data.shape[1:]
+        try:
+            if shape == self.in_shape or self.param_shapes(shape) == (
+                    self.weights.data.shape, self.bias.data.shape):
+                return
+        except ShapeError:
+            pass
+        raise ShapeError(f"{self.name} built for input {self.in_shape}, "
+                         f"got input shape {x.data.shape}")
+
     def forward(self, x):
+        self._check_input(x)
         return self._finish(self._linear(x))
 
     def _finish(self, z):
@@ -214,9 +229,6 @@ class HyperDense(_Affine):
         return (self.units, width // n, n), (self.units * n,)
 
     def _linear(self, x):
-        if x.data.ndim != 2 or x.data.shape[1] != self.in_shape[0]:
-            raise ShapeError(f"{self.name} built for width {self.in_shape[0]}, "
-                             f"got input shape {x.data.shape}")
         return T.matmul(x, assemble_block_matrix(self.weights, self.algebra))
 
     def config(self):
@@ -244,9 +256,9 @@ class _HyperConv(_Affine):
     def param_shapes(self, in_shape):
         """(K.., G, filters, n) weights and a filters*n bias, for G*n channels."""
         n = self.algebra.dim
-        if len(in_shape) != self.ndim + 1:
+        if len(in_shape) != self.ndim + 1 or in_shape[-1] < 1:
             raise ShapeError(f"{self.name} expects (batch, {self.ndim} spatial axes, "
-                             f"channels), got trailing shape {tuple(in_shape)}")
+                             f"channels >= 1), got trailing shape {tuple(in_shape)}")
         channels = in_shape[-1]
         if channels % n != 0:
             raise ShapeError(f"{self.name}: {channels} input channels are not a "
@@ -276,6 +288,7 @@ class _HyperConv(_Affine):
         layer-by-layer chain then routes the gradient to the first of
         them, this path to the larger z.
         """
+        self._check_input(x)
         kernel = assemble_conv_kernel(self.weights, self.algebra)
         return self._finish(T.conv_global_max_pool(x, kernel, stride=self.stride,
                                                    padding=self.padding))

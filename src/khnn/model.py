@@ -58,7 +58,7 @@ class ModelSummary:
 
 
 class Sequential:
-    """Ordered stack of layers; shapes are inferred at the first forward."""
+    """Ordered stack of layers, all built in one pass at the first forward."""
 
     def __init__(self, layers=None, seed=None):
         self.layers = list(layers) if layers else []
@@ -82,15 +82,14 @@ class Sequential:
             raise RuntimeError("model has no layers")
         if not isinstance(x, Tensor):
             x = Tensor(x)
+        if not self.built:
+            self._build(x.data.shape[1:])
         layers, i = self.layers, 0
         while i < len(layers):
             layer = layers[i]
-            self._build(i, x.data.shape[1:])
             if (isinstance(layer, L._HyperConv) and i + 1 < len(layers)
                     and isinstance(layers[i + 1], L.GlobalMaxPool)):
                 # conv then pool in one op, which never holds the conv output
-                if not layers[i + 1].built:
-                    self._build(i + 1, layer.output_shape(x.data.shape[1:]))
                 x = layer.forward_pooled(x)
                 i += 2
             else:
@@ -98,18 +97,19 @@ class Sequential:
                 i += 1
         return x
 
-    def _build(self, i, in_shape):
-        layer = self.layers[i]
-        if layer.built:
-            return
-        rng = (np.random.default_rng(layer.seed) if layer.seed is not None
-               else self._next_rng())
-        try:
-            layer.build(in_shape, rng)
-        except ShapeError as exc:
-            before = self.layers[i - 1].name if i else "input"
-            raise ShapeError(f"cannot connect {before} to {layer.name} "
-                             f"(layer {i}): {exc}") from exc
+    def _build(self, shape):
+        """Build each unbuilt layer for the shape that reaches it from shape."""
+        for i, layer in enumerate(self.layers):
+            try:
+                if not layer.built:
+                    rng = (np.random.default_rng(layer.seed) if layer.seed is not None
+                           else self._next_rng())
+                    layer.build(shape, rng)
+                shape = layer.output_shape(shape)
+            except ShapeError as exc:
+                before = self.layers[i - 1].name if i else "input"
+                raise ShapeError(f"cannot connect {before} to {layer.name} "
+                                 f"(layer {i}): {exc}") from exc
 
     def predict(self, x):
         """Forward pass without gradient recording; returns a numpy array."""

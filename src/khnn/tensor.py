@@ -302,12 +302,11 @@ def global_max_pool(x):
     b, c = x.data.shape[0], x.data.shape[-1]
     flat = x.data.reshape(b, -1, c)
     # one pass: the max is read off at the argmax the backward needs
-    idx = flat.argmax(axis=1)[:, None]
-    out = np.take_along_axis(flat, idx, axis=1)[:, 0]
+    out, idx = _max_at(flat)
 
     def backward(g):
         dx = np.zeros_like(flat)
-        np.put_along_axis(dx, idx, g[:, None], axis=1)
+        np.put_along_axis(dx, idx[:, None], g[:, None], axis=1)
         return (dx.reshape(x.data.shape),)
 
     return _result(out, (x,), backward)
@@ -404,42 +403,35 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
 
 
 def _lowering(x, kernel, stride, padding):
-    """Checked geometry and zero-padded input data of a convolution.
+    """(xp, windows, kmat, stride, out_spatial, inner) of a checked convolution.
 
-    Returns (xp, stride, pads, out_spatial), stride normalized to a tuple.
+    xp is the zero-padded input data, windows its strided patch view
+    (B, O1..Od, K1..Kd, C), kmat the kernel as a (prod(K)*C_in, C_out)
+    matrix, and inner the slices of xp's spatial axes that hold x itself.
+    windows.reshape(-1, len(kmat)) is the im2col patch matrix.
     """
     stride, pads, out_spatial = _conv_geometry(x.data.shape, kernel.data.shape,
                                                stride, padding)
     xp = x.data
     if any(lo or hi for lo, hi in pads):
         xp = np.pad(x.data, ((0, 0), *pads, (0, 0)))
-    return xp, stride, pads, out_spatial
-
-
-def _windows(xp, ksize, stride, out_spatial):
-    """Strided view (B, O1..Od, K1..Kd, C) of the patches of the padded input."""
+    ksize = kernel.data.shape[:-2]
     d = len(ksize)
+    kmat = kernel.data.reshape(-1, kernel.data.shape[-1])
     win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(1, d + 1)))
     # the view has one window per input position; keep every stride-th,
     # exactly out_spatial of them per axis
     win = win[(slice(None), *(slice(0, (o - 1) * st + 1, st)
                               for o, st in zip(out_spatial, stride)))]
-    return np.moveaxis(win, d + 1, -1)          # (B, O.., C, K..) -> (B, O.., K.., C)
+    windows = np.moveaxis(win, d + 1, -1)       # (B, O.., C, K..) -> (B, O.., K.., C)
+    inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, x.data.shape[1:-1]))
+    return xp, windows, kmat, stride, out_spatial, inner
 
 
-def _im2col(windows):
-    """Patch matrix (B*prod(O), prod(K)*C) of a _windows view.
-
-    Row (b, o) holds the patch under output position o, ordered
-    (K1..Kd, C) to match kernel.reshape(-1, C_out).
-    """
-    d = (windows.ndim - 2) // 2
-    return windows.reshape(-1, int(np.prod(windows.shape[d + 1:])))
-
-
-def _unpadded(pads, spatial):
-    """Slices of the padded spatial axes that hold the input itself."""
-    return tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, spatial))
+def _max_at(z):
+    """Max over axis 1 of (B, P, C) z, and its (B, C) index; ties go to the first."""
+    idx = z.argmax(axis=1)
+    return np.take_along_axis(z, idx[:, None], axis=1)[:, 0], idx
 
 
 def conv_nd(x, kernel, stride=1, padding="valid"):
@@ -454,13 +446,10 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
     the input gradient scattered back over the patches (col2im).
     """
     x, kernel = _wrap(x), _wrap(kernel)
-    xp, stride, pads, out_spatial = _lowering(x, kernel, stride, padding)
-    kdata = kernel.data
-    ksize, c_out = kdata.shape[:-2], kdata.shape[-1]
-    kmat = kdata.reshape(-1, c_out)
+    xp, windows, kmat, stride, out_spatial, inner = _lowering(x, kernel, stride, padding)
+    ksize, c_out = kernel.data.shape[:-2], kmat.shape[1]
     out_shape = (x.data.shape[0], *out_spatial, c_out)
-    windows = _windows(xp, ksize, stride, out_spatial)
-    out = (_im2col(windows) @ kmat).astype(xp.dtype, copy=False)
+    out = (windows.reshape(-1, len(kmat)) @ kmat).astype(xp.dtype, copy=False)
 
     def backward(g):
         # the patch matrix is rebuilt here rather than kept on the tape:
@@ -468,7 +457,7 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
         g = g.reshape(-1, c_out)
         dx = dk = None
         if kernel.requires_grad:
-            dk = (_im2col(windows).T @ g).reshape(kdata.shape)
+            dk = (windows.reshape(-1, len(kmat)).T @ g).reshape(kernel.data.shape)
         if x.requires_grad:
             # col2im, channels first: each offset's block of the patch
             # gradients is then contiguous and adds in long runs
@@ -479,7 +468,6 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
                 patch = tuple(slice(o, o + (n - 1) * st + 1, st)
                               for o, n, st in zip(off, out_spatial, stride))
                 dxp[(slice(None), slice(None), *patch)] += dcols[off]
-            inner = _unpadded(pads, x.data.shape[1:-1])
             dx = dxp[(slice(None), slice(None), *inner)]   # drop the padding
             dx = np.ascontiguousarray(np.moveaxis(dx, 0, -1))
         return dx, dk
@@ -504,21 +492,16 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     matching kernel columns back over them.
     """
     x, kernel = _wrap(x), _wrap(kernel)
-    xp, stride, pads, out_spatial = _lowering(x, kernel, stride, padding)
-    kdata = kernel.data
-    ksize, c_out = kdata.shape[:-2], kdata.shape[-1]
-    kmat = kdata.reshape(-1, c_out)
-    windows = _windows(xp, ksize, stride, out_spatial)
+    xp, windows, kmat, stride, out_spatial, inner = _lowering(x, kernel, stride, padding)
+    ksize, c_out = kernel.data.shape[:-2], kmat.shape[1]
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
     pooled = np.empty((batch, c_out), dtype=xp.dtype)
     idx = np.empty((batch, c_out), dtype=np.intp)
     step = max(1, _POOL_BLOCK_ROWS // positions)
     for lo in range(0, batch, step):
-        z = (_im2col(windows[lo:lo + step]) @ kmat).astype(xp.dtype, copy=False)
-        z = z.reshape(-1, positions, c_out)
-        best = z.argmax(axis=1)
-        idx[lo:lo + step] = best
-        pooled[lo:lo + step] = np.take_along_axis(z, best[:, None], axis=1)[:, 0]
+        cols = windows[lo:lo + step].reshape(-1, len(kmat))
+        z = (cols @ kmat).astype(xp.dtype, copy=False).reshape(-1, positions, c_out)
+        pooled[lo:lo + step], idx[lo:lo + step] = _max_at(z)
 
     def backward(g):
         # (b, position) of every channel's maximum, one spatial index array per axis
@@ -527,7 +510,7 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
         dx = dk = None
         if kernel.requires_grad:
             patches = windows[(rows, *pos)].reshape(batch, c_out, -1)
-            dk = np.einsum("bcp,bc->pc", patches, g).reshape(kdata.shape)
+            dk = np.einsum("bcp,bc->pc", patches, g).reshape(kernel.data.shape)
         if x.requires_grad:
             # flat index into xp of every (b, c_out, patch entry) pair
             corner = np.ravel_multi_index(
@@ -538,7 +521,7 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
             dxp = np.bincount(flat.reshape(-1), (g[:, :, None] * kmat.T).reshape(-1),
                               minlength=xp.size)
             dxp = dxp.reshape(xp.shape).astype(xp.dtype, copy=False)
-            dx = dxp[(slice(None), *_unpadded(pads, x.data.shape[1:-1]))]
+            dx = dxp[(slice(None), *inner)]
         return dx, dk
 
     return _result(pooled, (x, kernel), backward)

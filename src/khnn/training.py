@@ -192,7 +192,10 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
             size = f" of {len(validation)}" if isinstance(validation, (tuple, list)) else ""
             raise ValueError(f"validation must be an (x, y) pair, got a "
                              f"{type(validation).__name__}{size}")
-        validation = _check_data(*validation)
+        try:
+            validation = _check_data(*validation)
+        except ValueError as exc:
+            raise ValueError(f"validation: {exc}") from exc
     if seed is not None and not model.built and model.seed is None:
         model.seed = seed
     count = x.shape[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,7 +20,7 @@ from khnn.layers import (
     assemble_conv_kernel,
     glorot_uniform,
 )
-from khnn.model import LAYER_CLASSES
+from khnn.model import LAYER_CLASSES, Sequential
 from khnn.tensor import ShapeError, Tensor
 
 from conftest import naive_hyperconv, naive_hyperdense
@@ -298,6 +300,74 @@ class TestShapes:
         expected = glorot_uniform((2, 3, 2, 3, 4), 6 * 8, 6 * 12,
                                   np.random.default_rng(9))
         npt.assert_array_equal(layer.weights.data, expected)
+
+
+class TestInputRule:
+    # (layer, built input shape, shapes it must refuse, another spatial size
+    # it must accept or None); each layer is fresh per test
+    CASES = {
+        "hyper_dense": (lambda: HyperDense(3, algebra="quaternions"), (2, 8),
+                        [(2, 12), (2, 4), (2, 2, 4), (8,)], None),
+        "dense": (lambda: Dense(1), (2, 5), [(2, 6), (2, 5, 1)], None),
+        "conv1d": (lambda: HyperConv1D(2, 3, algebra="complex"), (2, 7, 4),
+                   [(2, 7, 2), (2, 7, 6), (2, 7)], (1, 9, 4)),
+        "conv2d": (lambda: HyperConv2D(2, (2, 2), algebra="complex"), (1, 5, 5, 4),
+                   [(1, 5, 5, 2), (1, 5, 5, 8), (1, 5, 20)], (2, 6, 3, 4)),
+        "conv3d": (lambda: HyperConv3D(1, 2, algebra="octonions", padding="same"),
+                   (1, 3, 4, 3, 8), [(1, 3, 4, 3, 16), (1, 3, 4, 24)], (1, 2, 5, 2, 8)),
+    }
+    CONVS = ["conv1d", "conv2d", "conv3d"]
+
+    def built(self, name, wrap):
+        """A fresh layer, run once on its input alone ("direct"), in a model,
+        or in a model that fuses it with a following pool ("pooled")."""
+        make, shape, refused, other = self.CASES[name]
+        layer = make()
+        tail = {"direct": None, "model": [], "pooled": [GlobalMaxPool()]}[wrap]
+        call = layer if tail is None else Sequential([layer, *tail], seed=0).forward
+
+        def run(shape):
+            return call(Tensor(np.random.default_rng(0).standard_normal(shape)))
+
+        run(shape)
+        return layer, run, refused, other
+
+    @pytest.mark.parametrize("name,wrap", [
+        *((name, wrap) for name in sorted(CASES) for wrap in ("direct", "model")),
+        *((name, "pooled") for name in CONVS)])
+    def test_refuses_input_that_would_size_other_weights(self, name, wrap):
+        layer, run, refused, _ = self.built(name, wrap)
+        message = re.escape(f"{layer.name} built for input {layer.in_shape}")
+        for shape in refused:
+            with pytest.raises(ShapeError, match=message):
+                run(shape)
+
+    @pytest.mark.parametrize("wrap", ["direct", "model", "pooled"])
+    @pytest.mark.parametrize("name", CONVS)
+    def test_conv_accepts_another_spatial_size(self, name, wrap):
+        layer, run, _, other = self.built(name, wrap)
+        out = run(other)
+        expected = layer.output_shape(other[1:])
+        assert out.data.shape == (other[0], *(expected[-1:] if wrap == "pooled"
+                                                else expected))
+
+    @pytest.mark.parametrize("make,shape,layout", [
+        (lambda: HyperDense(2, algebra="quaternions"), (3, 0), "width >= 1"),
+        (lambda: Dense(1), (3, 0), "width >= 1"),
+        (lambda: HyperConv1D(1, 2, algebra="complex"), (1, 5, 0), "channels >= 1"),
+        (lambda: HyperConv2D(1, 2, algebra="complex"), (1, 5, 5, 0), "channels >= 1"),
+        (lambda: HyperConv3D(1, 2, algebra="reals"), (1, 3, 3, 3, 0), "channels >= 1"),
+    ], ids=["hyper_dense", "dense", "conv1d", "conv2d", "conv3d"])
+    def test_zero_width_input_is_refused_naming_the_layer(self, make, shape, layout):
+        layer = make()
+        message = f"{layer.name} expects .*{layout}"
+        with pytest.raises(ShapeError, match=message):
+            layer.param_shapes(shape[1:])
+        with pytest.raises(ShapeError, match=message):
+            layer(Tensor(np.zeros(shape)))
+        assert not layer.built
+        with pytest.raises(ShapeError, match=f"cannot connect input to {layer.name}"):
+            Sequential([make()], seed=0).forward(Tensor(np.zeros(shape)))
 
 
 class TestInit:

@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from khnn import tensor as T
 from khnn.algebra import StructureConstants, from_entries, predefined
 from khnn.layers import (
     Activation,
@@ -52,6 +53,17 @@ class TestForward:
         model = Sequential([Flatten(), HyperConv2D(2, (3, 3))], seed=0)
         with pytest.raises(ShapeError, match="Flatten.*HyperConv2D"):
             model.forward(Tensor(np.zeros((2, 3, 3, 4))))
+
+    def test_all_layers_build_before_any_op_runs(self, monkeypatch):
+        recorded, result = [], T._result
+        monkeypatch.setattr(T, "_result", lambda *args: recorded.append(args) or result(*args))
+        model = Sequential([HyperDense(2, algebra="quaternions"), Activation("tanh"),
+                            GlobalMaxPool()], seed=0)
+        with pytest.raises(ShapeError, match=r"cannot connect Activation to "
+                                             r"GlobalMaxPool \(layer 2\)"):
+            model.forward(Tensor(np.zeros((2, 8))))
+        assert recorded == []
+        assert model.layers[0].built and not model.layers[2].built
 
     def test_add_appends(self):
         model = Sequential()

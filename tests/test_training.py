@@ -255,7 +255,8 @@ class TestFit:
     def test_row_count_mismatch_names_the_arguments(self, run):
         model = linear_probe_model(seed=12)
         x, y = np.zeros((3, 1)), np.zeros((4, 1))
-        with pytest.raises(ValueError, match="x has 3 rows but y has 4"):
+        prefix = "validation: " if run == "validation" else ""
+        with pytest.raises(ValueError, match=f"^{prefix}x has 3 rows but y has 4"):
             if run == "fit":
                 fit(model, x, y, epochs=1, optimizer=SGD())
             elif run == "evaluate":
@@ -267,7 +268,8 @@ class TestFit:
     def test_zero_rows_are_named_not_diverged(self, run):
         model = linear_probe_model(seed=18)
         x, y = np.zeros((0, 2)), np.zeros((0, 1))
-        with pytest.raises(ValueError, match="x has no rows"):
+        prefix = "validation: " if run == "validation" else ""
+        with pytest.raises(ValueError, match=f"^{prefix}x has no rows"):
             if run == "fit":
                 fit(model, x, y, epochs=1, optimizer=SGD())
             elif run == "evaluate":
