@@ -149,16 +149,21 @@ class _Affine(Layer):
         return in_shape[0]
 
     def _check_input(self, x):
-        """Reject x unless it sizes the built weights (a conv's other sizes do)."""
+        """Reject x, naming the cause, unless it fits the layer and sizes the
+        built weights (a conv's other spatial sizes do)."""
         shape = x.data.shape[1:]
+        if shape == self.in_shape:
+            return
         try:
-            if shape == self.in_shape or self.param_shapes(shape) == (
-                    self.weights.data.shape, self.bias.data.shape):
+            self.output_shape(shape)
+            needs = self.param_shapes(shape)
+            if needs == (self.weights.data.shape, self.bias.data.shape):
                 return
-        except ShapeError:
-            pass
+            cause = f"it needs weights {needs[0]}, not {self.weights.data.shape}"
+        except ShapeError as exc:
+            cause = str(exc)
         raise ShapeError(f"{self.name} built for input {self.in_shape}, "
-                         f"got input shape {x.data.shape}")
+                         f"got input shape {x.data.shape}: {cause}")
 
     def forward(self, x):
         self._check_input(x)

@@ -98,18 +98,25 @@ class Sequential:
         return x
 
     def _build(self, shape):
-        """Build each unbuilt layer for the shape that reaches it from shape."""
+        """Build each unbuilt layer for the shape that reaches it from shape.
+
+        The whole shape chain is checked first, so a model that cannot
+        connect builds no layer and draws no seed.
+        """
+        shapes = []
         for i, layer in enumerate(self.layers):
+            shapes.append(shape)
             try:
-                if not layer.built:
-                    rng = (np.random.default_rng(layer.seed) if layer.seed is not None
-                           else self._next_rng())
-                    layer.build(shape, rng)
                 shape = layer.output_shape(shape)
             except ShapeError as exc:
                 before = self.layers[i - 1].name if i else "input"
                 raise ShapeError(f"cannot connect {before} to {layer.name} "
                                  f"(layer {i}): {exc}") from exc
+        for layer, shape in zip(self.layers, shapes):
+            if not layer.built:
+                rng = (np.random.default_rng(layer.seed) if layer.seed is not None
+                       else self._next_rng())
+                layer.build(shape, rng)
 
     def predict(self, x):
         """Forward pass without gradient recording; returns a numpy array."""

@@ -10,8 +10,9 @@ complete by the time the walk reaches it.
 
 Layer primitives (``expand_blocks``, ``conv_nd``, ``global_max_pool``
 and ``conv_global_max_pool``, a convolution pooled to one value per
-channel) are single operations with their own backward rule, one tape
-node each, not chains of generic ones.
+channel) and the loss ``binary_cross_entropy`` are single operations
+with their own backward rule, one tape node each, not chains of generic
+ones. The loss's backward is the closed form of its clip/log chain.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
@@ -245,6 +246,35 @@ def clip(x, lo, hi):
     x = _wrap(x)
     mask = (x.data >= lo) & (x.data <= hi)
     return _result(np.clip(x.data, lo, hi), (x,), lambda g: (g * mask,))
+
+
+def binary_cross_entropy(pred, target, eps):
+    """-mean(y log p + (1 - y) log(1 - p)), p = clip(pred, eps, 1 - eps), one node.
+
+    Value, dtype and gradient equal those of that chain of clip, log, mul,
+    add, mean and neg bit for bit: the forward runs the chain's operations
+    in its order, and the backward sums the closed form in the order the
+    chain's walk does, masked where clip stops the gradient. target is
+    data; a target that requires grad is refused.
+    """
+    pred, target = _wrap(pred), _wrap(target)
+    if target.requires_grad:
+        raise ValueError("binary_cross_entropy: target requires grad; "
+                         "it must be data")
+    _check_same_shape("binary_cross_entropy", pred, target)
+    x, y = pred.data, target.data
+    lo, hi = eps, 1.0 - eps
+    p = np.clip(x, lo, hi)
+    q, y_off = -p + 1.0, -y + 1.0       # 1 - p and 1 - y, as neg then add
+    terms = y * np.log(p) + y_off * np.log(q)
+
+    def backward(g):
+        s = np.full_like(terms, -g / terms.size)
+        # the walk reaches the log(1 - p) branch first
+        dp = -((s * y_off) / q) + (s * y) / p
+        return (dp * ((x >= lo) & (x <= hi)),)
+
+    return _result(-terms.mean(), (pred,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,14 @@ def _as_array(x):
 
 
 def bce_loss(pred, target):
-    """Mean binary cross-entropy, -[y log p + (1 - y) log(1 - p)]."""
-    if not isinstance(pred, Tensor):
-        pred = Tensor(pred)
-    target_arr = _as_array(target)
-    if not np.isin(target_arr, (0.0, 1.0)).all():
+    """Mean binary cross-entropy, -[y log p + (1 - y) log(1 - p)], one tape node.
+
+    Targets must be 0 or 1; see tensor.binary_cross_entropy for the rest.
+    """
+    y = _as_array(target)
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("binary cross-entropy targets must be 0 or 1")
-    target = target if isinstance(target, Tensor) else Tensor(target_arr)
-    p = T.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    on = T.mul(target, T.log(p))
-    off = T.mul(1.0 - target, T.log(1.0 - p))
-    return T.neg(T.mean(T.add(on, off)))
+    return T.binary_cross_entropy(pred, target, BCE_CLAMP)
 
 
 def accuracy(pred, target):
@@ -84,24 +81,50 @@ class Adam:
         self.beta2 = _decay("beta2", beta2)
         self.eps = _positive("eps", eps)
         self.step_count = 0
-        # moments keyed by the parameter itself: the strong reference keeps
-        # its id from being reused, so no two parameters share a state
+        # moments and a scratch buffer keyed by the parameter itself: the
+        # strong reference keeps its id from being reused, so no two
+        # parameters share a state
         self._m: dict[Tensor, np.ndarray] = {}
         self._v: dict[Tensor, np.ndarray] = {}
+        self._scratch: dict[Tensor, np.ndarray] = {}
 
     def step(self, params):
+        """One update, computed in place in the order of the formulas:
+
+            m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
+            p.data = p.data - lr * (m / c1) / (sqrt(v / c2) + eps)
+
+        with c1, c2 = 1 - beta1**t, 1 - beta2**t. The moments keep their
+        arrays; p.data is rebound to a new one, never written.
+        """
         self.step_count += 1
         t = self.step_count
+        a1, a2 = 1.0 - self.beta1, 1.0 - self.beta2
+        c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
         for p in params:
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 raise RuntimeError("parameter has no gradient; run backward first")
-            m = self._m.setdefault(p, np.zeros_like(p.data))
-            v = self._v.setdefault(p, np.zeros_like(p.data))
-            m += (1.0 - self.beta1) * (p.grad - m)
-            v += (1.0 - self.beta2) * (p.grad * p.grad - v)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self._m.get(p)
+            if m is None:
+                m = self._m[p] = np.zeros_like(p.data)
+                self._v[p] = np.zeros_like(p.data)
+                self._scratch[p] = np.empty_like(p.data)
+            v, buf = self._v[p], self._scratch[p]
+            np.subtract(g, m, out=buf)
+            buf *= a1
+            m += buf
+            np.multiply(g, g, out=buf)
+            buf -= v
+            buf *= a2
+            v += buf
+            np.divide(v, c2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            update = m / c1
+            update *= self.lr
+            update /= buf
+            p.data = np.subtract(p.data, update, out=update)
 
 
 @dataclass

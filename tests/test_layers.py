@@ -343,6 +343,24 @@ class TestInputRule:
                 run(shape)
 
     @pytest.mark.parametrize("wrap", ["direct", "model", "pooled"])
+    def test_conv_refuses_a_spatial_size_its_kernel_does_not_fit(self, wrap):
+        layer = HyperConv2D(2, (3, 3), algebra="complex")
+        tail = {"direct": None, "model": [], "pooled": [GlobalMaxPool()]}[wrap]
+        call = layer if tail is None else Sequential([layer, *tail], seed=0).forward
+        call(Tensor(np.zeros((1, 5, 5, 4))))
+        message = (r"^HyperConv2D built for input \(5, 5, 4\), got input shape "
+                   r"\(1, 2, 2, 4\): kernel \(3, 3\) larger than padded input \(2, 2\)$")
+        with pytest.raises(ShapeError, match=message):
+            call(Tensor(np.zeros((1, 2, 2, 4))))
+
+    def test_refusal_names_the_weights_another_width_needs(self):
+        layer = HyperDense(3, algebra="quaternions")
+        layer(Tensor(np.zeros((2, 8))))
+        with pytest.raises(ShapeError, match=r"got input shape \(2, 12\): it needs "
+                                             r"weights \(3, 3, 4\), not \(3, 2, 4\)$"):
+            layer(Tensor(np.zeros((2, 12))))
+
+    @pytest.mark.parametrize("wrap", ["direct", "model", "pooled"])
     @pytest.mark.parametrize("name", CONVS)
     def test_conv_accepts_another_spatial_size(self, name, wrap):
         layer, run, _, other = self.built(name, wrap)

@@ -63,7 +63,27 @@ class TestForward:
                                              r"GlobalMaxPool \(layer 2\)"):
             model.forward(Tensor(np.zeros((2, 8))))
         assert recorded == []
-        assert model.layers[0].built and not model.layers[2].built
+        assert not any(layer.built for layer in model.layers)
+        assert model._seed_seq is None
+
+    def test_failed_build_leaves_the_model_as_fresh(self):
+        # layer 1's 3x3 kernel does not fit the 2x2 output of layer 0 on a
+        # 3x3 input; the failure must build nothing and draw no seed
+        def make():
+            return Sequential([HyperConv2D(2, (2, 2), algebra="complex"),
+                               HyperConv2D(1, (3, 3), algebra="complex"),
+                               Flatten(), Dense(1)], seed=7)
+
+        model = make()
+        with pytest.raises(ShapeError, match=r"cannot connect HyperConv2D to "
+                                             r"HyperConv2D \(layer 1\)"):
+            model.predict(np.zeros((1, 3, 3, 4)))
+        assert not any(layer.built for layer in model.layers)
+        x = np.random.default_rng(0).standard_normal((1, 5, 5, 4))
+        fresh = make()
+        npt.assert_array_equal(model.predict(x), fresh.predict(x))
+        for got, expected in zip(model.params(), fresh.params()):
+            npt.assert_array_equal(got.data, expected.data)
 
     def test_add_appends(self):
         model = Sequential()

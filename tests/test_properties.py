@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from khnn import tensor as T  # noqa: E402
@@ -20,7 +20,7 @@ from khnn.layers import (Activation, Dense, Flatten, GlobalMaxPool,  # noqa: E40
                          assemble_conv_kernel)
 from khnn.model import Sequential, load_model, save_model  # noqa: E402
 from khnn.tensor import Tensor  # noqa: E402
-from khnn.training import bce_loss  # noqa: E402
+from khnn.training import BCE_CLAMP, bce_loss  # noqa: E402
 
 from conftest import naive_conv_nd, naive_hyperconv, naive_hyperdense  # noqa: E402
 
@@ -144,6 +144,63 @@ class TestLeafOnlyGradients:
                 assert t.grad is None
         for t in leaves:
             npt.assert_array_equal(t.grad, expected[id(t)])
+
+
+def bce_chain(pred, target):
+    """The loss as a chain of elementwise tape ops, the fused op's reference."""
+    p = T.clip(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    on = T.mul(target, T.log(p))
+    off = T.mul(1.0 - target, T.log(1.0 - p))
+    return T.neg(T.mean(T.add(on, off)))
+
+
+@st.composite
+def bce_cases(draw):
+    """(pred, target) of drawn dtypes, pred on and around both clamp edges."""
+    pred_dtype, target_dtype = (draw(st.sampled_from([np.float32, np.float64]))
+                                for _ in range(2))
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+    # the edges as numpy compares them, in pred's dtype
+    lo, hi = pred_dtype(BCE_CLAMP), pred_dtype(1.0 - BCE_CLAMP)
+    below, above = pred_dtype(-np.inf), pred_dtype(np.inf)
+    edges = [-1.5, -0.0, 0.0, np.nextafter(lo, below), lo, np.nextafter(lo, above),
+             np.nextafter(hi, below), hi, np.nextafter(hi, above), 1.0, 2.5]
+    size = shape[0] * shape[1]
+    pred = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)),
+                         min_size=size, max_size=size))
+    target = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size))
+    return (np.array(pred, dtype=pred_dtype).reshape(shape),
+            np.array(target, dtype=target_dtype).reshape(shape))
+
+
+def bits_differ(a, b):
+    """'' if a and b hold the same dtype, shape and bits, else where they differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return f"dtype/shape {a.dtype}{a.shape} != {b.dtype}{b.shape}"
+    def as_bytes(arr):
+        return arr.reshape(-1).view(np.uint8).reshape(arr.size, -1)
+
+    where = np.flatnonzero((as_bytes(a) != as_bytes(b)).any(axis=1))
+    return "" if where.size == 0 else f"bits differ at flat indices {where.tolist()}"
+
+
+class TestFusedBceLoss:
+    @settings(max_examples=200)
+    @given(bce_cases())
+    def test_equals_the_elementwise_chain_bit_for_bit(self, case):
+        x, y = case
+        results = []
+        for loss_fn in (bce_chain, lambda pred, target: bce_loss(pred, target)):
+            pred = Tensor(x.copy(), requires_grad=True)
+            loss = loss_fn(pred, Tensor(y))
+            # the gradient reaching pred before the leaf casts it to pred's dtype
+            arriving = reference_leaf_grads(loss)[id(pred)]
+            loss.backward()
+            results.append((loss.data, arriving, pred.grad))
+        for name, fused, chain in zip(("value", "gradient", "pred.grad"), *results[::-1]):
+            assert bits_differ(fused, chain) == "", (
+                f"{name}: {bits_differ(fused, chain)} for pred {x!r}, target {y!r}")
 
 
 def algebra_tensors(bound):

@@ -338,6 +338,21 @@ _POOL_INPUT = np.array([[[0.2], [-1.4], [0.9], [1.7], [-0.6]],
                         [[1.1], [0.4], [-0.8], [-1.9], [0.5]]])              # (2, 5, 1)
 
 
+_BCE_TARGET = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+
+
+class TestBinaryCrossEntropy:
+    def test_one_tape_node_over_the_prediction(self):
+        pred = Tensor([0.3, 0.6], requires_grad=True)
+        loss = T.binary_cross_entropy(pred, Tensor([0.0, 1.0]), 1e-7)
+        assert loss._parents == (pred,)
+        assert T.binary_cross_entropy(Tensor([0.3]), Tensor([1.0]), 1e-7)._backward is None
+
+    def test_shapes_must_match(self):
+        with pytest.raises(ShapeError, match=r"binary_cross_entropy: shapes \(2,\) and \(2, 1\)"):
+            T.binary_cross_entropy(Tensor([0.5, 0.5]), Tensor([[1.0], [0.0]]), 1e-7)
+
+
 class TestOpGradients:
     # every differentiable op, checked one at a time against central
     # differences through a fixed linear functional (lo, hi) bound the
@@ -353,6 +368,11 @@ class TestOpGradients:
         "sigmoid": (T.sigmoid, -0.9, 0.9),
         "log": (T.log, 0.5, 1.5),
         "clip": (lambda t: T.clip(t, -0.4, 0.4), -0.9, 0.9),
+        "binary_cross_entropy": (lambda t: T.binary_cross_entropy(
+            t, Tensor(_BCE_TARGET), 1e-7), 0.1, 0.9),
+        # entries outside [0.3, 0.7] are clamped and pass no gradient
+        "binary_cross_entropy_clamped": (lambda t: T.binary_cross_entropy(
+            t, Tensor(_BCE_TARGET), 0.3), 0.0, 1.0),
         "tensor_sum_axis": (lambda t: T.tensor_sum(T.reshape(t, (2, 3)), axis=1),
                             -0.9, 0.9),
         "mean": (T.mean, -0.9, 0.9),

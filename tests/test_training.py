@@ -4,6 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from khnn.algebra import predefined
+from khnn.cli import _xor_model
+from khnn.datasets import XOR_X, XOR_Y
 from khnn.layers import Activation, Dense, HyperDense
 from khnn.model import Sequential
 from khnn.tensor import Tensor
@@ -38,6 +41,35 @@ class TestBceLoss:
     def test_rejects_non_binary_targets(self):
         with pytest.raises(ValueError, match="0 or 1"):
             bce_loss(Tensor([[0.5]]), Tensor([[0.3]]))
+
+    def test_rejects_nan_targets(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bce_loss(Tensor([[0.5], [0.5]]), np.array([[1.0], [np.nan]]))
+
+    def test_accepts_int_and_bool_targets(self):
+        expected = bce_loss(Tensor([[0.2], [0.7]]), Tensor([[0.0], [1.0]])).data
+        for target in ([[0], [1]], np.array([[False], [True]])):
+            assert bce_loss(Tensor([[0.2], [0.7]]), target).data == expected
+
+    def test_target_that_requires_grad_is_refused(self):
+        target = Tensor([[1.0], [0.0]], requires_grad=True)
+        with pytest.raises(ValueError, match="target requires grad"):
+            bce_loss(Tensor([[0.5], [0.5]], requires_grad=True), target)
+
+    def test_one_xor_training_step_records_eight_tape_nodes(self):
+        # expand_blocks, matmul, add_bias, tanh, matmul, add_bias, sigmoid
+        # and the loss
+        model = _xor_model(predefined("quaternions"), 42)
+        loss = bce_loss(model.forward(Tensor(XOR_X)), Tensor(XOR_Y))
+        nodes, todo, seen = [], [loss], set()
+        while todo:
+            t = todo.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                nodes += [t] if t._backward is not None else []
+                todo.extend(t._parents)
+        assert len(nodes) == 8
+        assert loss._parents[0]._backward is not None      # the sigmoid's node
 
     def test_gradient_matches_closed_form(self):
         # d/dp of the mean BCE is (p - y) / (p (1 - p) B)
@@ -121,6 +153,55 @@ class TestOptimizers:
     def test_adam_decays_lie_in_unit_interval(self, name, value):
         with pytest.raises(ValueError, match=name):
             Adam(**{name: value})
+
+    @staticmethod
+    def reference_adam(params, grads_per_step, lr=0.01, beta1=0.9, beta2=0.999,
+                       eps=1e-7):
+        """The out-of-place Adam formula, one array per intermediate."""
+        data = [p.copy() for p in params]
+        ms = [np.zeros_like(p) for p in params]
+        vs = [np.zeros_like(p) for p in params]
+        for t, grads in enumerate(grads_per_step, start=1):
+            for i, g in enumerate(grads):
+                ms[i] = ms[i] + (1.0 - beta1) * (g - ms[i])
+                vs[i] = vs[i] + (1.0 - beta2) * (g * g - vs[i])
+                m_hat = ms[i] / (1.0 - beta1 ** t)
+                v_hat = vs[i] / (1.0 - beta2 ** t)
+                data[i] = data[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        return data, ms, vs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_equals_the_out_of_place_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        start = [rng.standard_normal(s).astype(dtype) for s in ((3, 4), (4,), (2, 2, 3))]
+        grads = [[(rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3)).astype(dtype)
+                  for p in start] for _ in range(7)]
+        params = [Tensor(p.copy(), requires_grad=True) for p in start]
+        opt = Adam(lr=0.01)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step(params)
+        data, ms, vs = self.reference_adam(start, grads)
+        for p, d, m, v in zip(params, data, ms, vs):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == d.tobytes()
+            assert opt._m[p].tobytes() == m.tobytes()
+            assert opt._v[p].tobytes() == v.tobytes()
+
+    def test_adam_keeps_its_moment_arrays_and_never_writes_p_data(self):
+        opt = Adam(lr=0.1)
+        w = Tensor(np.ones(3), requires_grad=True)
+        w.grad = np.array([1.0, -2.0, 0.5])
+        opt.step([w])
+        m, v = opt._m[w], opt._v[w]
+        for _ in range(3):
+            before = w.data
+            kept = before.copy()
+            opt.step([w])
+            assert opt._m[w] is m and opt._v[w] is v
+            assert w.data is not before
+            npt.assert_array_equal(before, kept)
 
     def test_missing_grad_raises(self):
         w = Tensor([1.0], requires_grad=True)
