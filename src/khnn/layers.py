@@ -91,14 +91,11 @@ class Layer:
 
     @classmethod
     def from_config(cls, config, **algebra):
-        """The layer a config() dict describes, built if it records a shape."""
+        """The unbuilt layer a config() dict describes, and its recorded shape or None."""
         args = dict(config)
         recorded = args.pop(cls.shape_key, None)
         layer = cls(**args, **algebra)
-        if recorded is not None:
-            # placeholder weights, which load_model overwrites
-            layer.build(layer._shape_from(recorded), np.random.default_rng(0))
-        return layer
+        return layer, None if recorded is None else layer._shape_from(recorded)
 
     def _shape_from(self, recorded):
         return tuple(recorded)
@@ -364,7 +361,7 @@ class Activation(Layer):
 
     @classmethod
     def from_config(cls, config):
-        return cls(config["activation"])
+        return cls(config["activation"]), None
 
 
 class GlobalMaxPool(Layer):
@@ -386,6 +383,8 @@ class Flatten(Layer):
     file_tag = "flatten"
 
     def output_shape(self, in_shape):
+        if not in_shape:
+            raise ShapeError("Flatten needs a feature axis, got trailing shape ()")
         return (math.prod(in_shape),)
 
     def forward(self, x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,12 +98,8 @@ class Sequential:
                 i += 1
         return x
 
-    def _build(self, shape):
-        """Build each unbuilt layer for the shape that reaches it from shape.
-
-        The whole shape chain is checked first, so a model that cannot
-        connect builds no layer and draws no seed.
-        """
+    def _input_shapes(self, shape):
+        """The trailing shape reaching each layer from input shape, all checked."""
         shapes = []
         for i, layer in enumerate(self.layers):
             shapes.append(shape)
@@ -112,11 +109,19 @@ class Sequential:
                 before = self.layers[i - 1].name if i else "input"
                 raise ShapeError(f"cannot connect {before} to {layer.name} "
                                  f"(layer {i}): {exc}") from exc
-        for layer, shape in zip(self.layers, shapes):
+        return shapes
+
+    def _build(self, shape):
+        """Build each unbuilt layer for the shape that reaches it from shape.
+
+        The whole shape chain is checked first, so a model that cannot
+        connect builds no layer and draws no seed.
+        """
+        for layer, in_shape in zip(self.layers, self._input_shapes(shape)):
             if not layer.built:
                 rng = (np.random.default_rng(layer.seed) if layer.seed is not None
                        else self._next_rng())
-                layer.build(shape, rng)
+                layer.build(in_shape, rng)
 
     def predict(self, x):
         """Forward pass without gradient recording; returns a numpy array."""
@@ -160,10 +165,10 @@ def _layer_from_doc(doc):
         raise ModelLoadError(f"unknown layer kind {doc['kind']!r}")
     algebra = {} if doc.get("algebra") is None else {
         "algebra": algebra_from_doc(doc["algebra"])}
-    layer = cls.from_config(doc.get("config", {}), **algebra)
+    layer, shape = cls.from_config(doc.get("config", {}), **algebra)
     if hasattr(layer, "algebra") and not algebra:
         raise ModelLoadError(f"{doc['kind']} layer has no algebra")
-    return layer
+    return layer, shape
 
 
 def save_model(model, path):
@@ -190,18 +195,33 @@ def load_model(path):
         raise ModelLoadError(f"model file {path} has unsupported format_version "
                              f"{version!r} (expected {FORMAT_VERSION})")
     try:
-        model = Sequential([_layer_from_doc(d) for d in doc["layers"]])
+        pairs = [_layer_from_doc(d) for d in doc["layers"]]
         raws = [base64.b64decode(blob) for blob in doc["weights"]]
+        model = Sequential([layer for layer, _ in pairs])
+        # the chain from layer 0's shape, else each recorded shape alone
+        chained = bool(pairs) and pairs[0][1] is not None
+        shapes = model._input_shapes(pairs[0][1]) if chained else [s for _, s in pairs]
+        saved = [(layer, shape) for (layer, rec), shape in zip(pairs, shapes)
+                 if rec is not None]
+        # each blob is checked against its shape before any weight is drawn
+        expected = [s for layer, shape in saved if isinstance(layer, L._Affine)
+                    for s in layer.param_shapes(shape)]
+        if len(raws) != len(expected):
+            raise ValueError(f"'weights' holds {len(raws)} parameter blobs, "
+                             f"expected {len(expected)}")
+        for i, (raw, shape) in enumerate(zip(raws, expected)):
+            if len(raw) != math.prod(shape) * 8:
+                raise ValueError(f"parameter blob {i} holds {len(raw)} bytes, "
+                                 f"expected {math.prod(shape) * 8}")
+        placeholder = np.random.default_rng(0)   # weights the blobs overwrite
+        for layer, shape in saved:
+            layer.build(shape, placeholder)
+        if chained:
+            model._build(pairs[0][1])
     except (KeyError, TypeError, ValueError) as exc:   # binascii.Error included
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
-    params = model.params()
-    if len(raws) != len(params):
-        raise ModelLoadError(f"model file {path} holds {len(raws)} parameter "
-                             f"blobs, expected {len(params)}")
+    params = [p for layer, _ in saved for p in layer.params()]
     for p, raw in zip(params, raws):
-        if len(raw) != p.data.size * 8:
-            raise ModelLoadError(f"model file {path}: parameter blob holds "
-                                 f"{len(raw)} bytes, expected {p.data.size * 8}")
         decoded = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
         p.data = decoded.astype(p.data.dtype)
     return model

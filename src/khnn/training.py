@@ -73,7 +73,14 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias-corrected moments, w <- w - lr * m^ / (sqrt(v^) + eps)."""
+    """Adam (Kingma & Ba, 2015): at step t, with c1, c2 = 1 - beta1**t, 1 - beta2**t,
+
+        m += (g - m) * (1 - beta1);  v += (g * g - v) * (1 - beta2)
+        p.data = p.data - lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    Each parameter's moments are made once and updated in place; p.data is
+    rebound to a new array, never written.
+    """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
         self.lr = _positive("lr", lr)
@@ -81,22 +88,11 @@ class Adam:
         self.beta2 = _decay("beta2", beta2)
         self.eps = _positive("eps", eps)
         self.step_count = 0
-        # moments and a scratch buffer keyed by the parameter itself: the
-        # strong reference keeps its id from being reused, so no two
-        # parameters share a state
+        # keyed by the parameter itself, whose strong reference keeps its id unique
         self._m: dict[Tensor, np.ndarray] = {}
         self._v: dict[Tensor, np.ndarray] = {}
-        self._scratch: dict[Tensor, np.ndarray] = {}
 
     def step(self, params):
-        """One update, computed in place in the order of the formulas:
-
-            m += (1 - beta1) * (g - m);  v += (1 - beta2) * (g * g - v)
-            p.data = p.data - lr * (m / c1) / (sqrt(v / c2) + eps)
-
-        with c1, c2 = 1 - beta1**t, 1 - beta2**t. The moments keep their
-        arrays; p.data is rebound to a new one, never written.
-        """
         self.step_count += 1
         t = self.step_count
         a1, a2 = 1.0 - self.beta1, 1.0 - self.beta2
@@ -109,22 +105,10 @@ class Adam:
             if m is None:
                 m = self._m[p] = np.zeros_like(p.data)
                 self._v[p] = np.zeros_like(p.data)
-                self._scratch[p] = np.empty_like(p.data)
-            v, buf = self._v[p], self._scratch[p]
-            np.subtract(g, m, out=buf)
-            buf *= a1
-            m += buf
-            np.multiply(g, g, out=buf)
-            buf -= v
-            buf *= a2
-            v += buf
-            np.divide(v, c2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += self.eps
-            update = m / c1
-            update *= self.lr
-            update /= buf
-            p.data = np.subtract(p.data, update, out=update)
+            v = self._v[p]
+            m += (g - m) * a1
+            v += (g * g - v) * a2
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass
@@ -163,9 +147,7 @@ def _check_data(x, y):
     Bad data fails here, naming the argument, rather than later as a
     shape error inside the loss or as a diverged loss.
     """
-    x = np.asarray(x)
-    if x.dtype not in (np.float32, np.float64):
-        x = x.astype(np.float64)
+    x = T._coerce(x)
     y = np.asarray(y, dtype=x.dtype)
     if x.ndim == 0 or y.ndim == 0:
         raise ValueError(f"x and y need a batch axis, got shapes {x.shape} and {y.shape}")
@@ -222,11 +204,8 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
     if seed is not None and not model.built and model.seed is None:
         model.seed = seed
     count = x.shape[0]
-    if batch_size is None or batch_size >= count:
-        bounds = [(0, count)]
-    else:
-        bounds = [(i, min(i + batch_size, count))
-                  for i in range(0, count, batch_size)]
+    step = batch_size or count
+    bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
 
     history = TrainHistory()
     params = None

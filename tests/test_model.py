@@ -1,12 +1,14 @@
 import base64
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from khnn import layers as L
 from khnn import tensor as T
 from khnn.algebra import StructureConstants, from_entries, predefined
 from khnn.layers import (
@@ -84,6 +86,16 @@ class TestForward:
         npt.assert_array_equal(model.predict(x), fresh.predict(x))
         for got, expected in zip(model.params(), fresh.params()):
             npt.assert_array_equal(got.data, expected.data)
+
+    def test_flatten_without_a_feature_axis_builds_nothing(self):
+        model = Sequential([Flatten(), Dense(1)], seed=1)
+        with pytest.raises(ShapeError, match=r"^cannot connect input to Flatten "
+                                             r"\(layer 0\): Flatten needs a feature axis"):
+            model.predict(np.zeros(4))
+        assert not any(layer.built for layer in model.layers)
+        assert model._seed_seq is None
+        with pytest.raises(ShapeError, match="^Flatten needs a feature axis"):
+            Flatten()(Tensor(np.zeros(4)))
 
     def test_add_appends(self):
         model = Sequential()
@@ -346,6 +358,16 @@ class TestSerialization:
         assert loaded.layers[0].stride == (1, 1)
         assert loaded.predict(np.zeros((1, 5, 5, 2))).shape == (1, 1)
 
+    def test_model_with_only_layer_0_built_loads_it_and_builds_the_rest(self, tmp_path):
+        model = Sequential([HyperDense(2, algebra="complex", input_shape=(4,), seed=1),
+                            Dense(1)])
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.built
+        npt.assert_array_equal(loaded.layers[0].weights.data, model.layers[0].weights.data)
+        assert loaded.predict(np.zeros((1, 4))).shape == (1, 1)
+
     def test_float32_model_roundtrip_exact(self, tmp_path):
         model = Sequential([HyperDense(2, algebra="complex", dtype=np.float32)],
                            seed=11)
@@ -380,6 +402,43 @@ class TestGoldenFiles:
     a few steps. v1_predictions.json holds each model's input and the
     predictions it made before it was saved.
     """
+
+    @pytest.mark.parametrize("name,total", [("v1_conv_f32", 89), ("v1_dense_nonunital", 25)])
+    def test_loads_built_with_a_summary(self, name, total):
+        model = load_model(DATA / f"{name}.json")
+        assert model.built
+        assert str(model.summary()).endswith(f"total params: {total}")
+
+    def test_oversized_shape_claim_refused_before_any_weight_is_drawn(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(L, "glorot_uniform", refuse)
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["layers"][0]["config"]["in_elems"] = 2_000_000
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelLoadError) as info:
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(path) in str(info.value)
+        assert "parameter blob 0 holds 96 bytes, expected 96000000" in str(info.value)
+        assert peak < 2**20
+
+    def test_shape_chain_that_does_not_connect_is_a_load_error(self, tmp_path):
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["layers"][1]["kind"] = "global_max_pool"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+        assert "cannot connect HyperDense to GlobalMaxPool (layer 1)" in str(info.value)
 
     @pytest.mark.parametrize("name", ["v1_conv_f32", "v1_dense_nonunital"])
     def test_predicts_stored_outputs_and_resaves_byte_identical(self, tmp_path, name):

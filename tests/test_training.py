@@ -203,6 +203,14 @@ class TestOptimizers:
             assert w.data is not before
             npt.assert_array_equal(before, kept)
 
+    def test_adam_holds_only_its_two_moments_per_parameter(self):
+        opt = Adam()
+        w = Tensor(np.ones(3), requires_grad=True)
+        w.grad = np.ones(3)
+        opt.step([w])
+        per_param = {name for name, value in vars(opt).items() if isinstance(value, dict)}
+        assert per_param == {"_m", "_v"}
+
     def test_missing_grad_raises(self):
         w = Tensor([1.0], requires_grad=True)
         with pytest.raises(RuntimeError, match="gradient"):
