@@ -9,7 +9,7 @@ Tables are entered as a dictionary mapping an index pair (i, j) with
 i, j >= 1 to either a single (k, coeff) term or a list of such terms.
 Rows and columns touching e_0 are implied by the unit law and filled in
 automatically. Pairs that are not listed multiply to zero unless
-``strict`` is set.
+``strict`` is set. Entry maps and algebra files pass one term rule.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ class StructureConstants:
     def __init__(self, entries=None, dim=None, name=None, strict=False):
         if entries is None and dim is None:
             raise AlgebraError("need an entry map, a dim, or both")
-        tensor = _tensor_from_entries(entries or {}, dim, strict=strict)
-        self._tensor = tensor
+        self._tensor = _tensor_from_rows(_entry_rows(entries or {}), dim, strict)
         self._tensor.setflags(write=False)
         self.name = name
 
@@ -83,18 +82,10 @@ class StructureConstants:
         not :func:`from_entries`.
         """
         entries = {}
-        n = self.dim
-        eye = np.eye(n)
-        for i in range(n):
-            for j in range(n):
-                row = self._tensor[i, j]
-                terms = [(int(k), float(row[k])) for k in np.nonzero(row)[0]]
-                if i == 0 or j == 0:
-                    if np.array_equal(row, eye[i + j]):   # the implied unit row
-                        continue
-                    terms = terms or [(0, 0.0)]
-                if terms:
-                    entries[(i, j)] = terms
+        A = self._tensor
+        for i, j in zip(*np.nonzero((A != _unit_law(self.dim)).any(axis=2))):
+            terms = [(int(k), float(A[i, j, k])) for k in np.nonzero(A[i, j])[0]]
+            entries[(int(i), int(j))] = terms or [(0, 0.0)]
         return entries
 
     def basis(self, i):
@@ -120,53 +111,86 @@ class StructureConstants:
         return f"StructureConstants({label!r}, dim={self.dim})"
 
 
-def _tensor_from_entries(entries, dim, strict=False, allow_unit_rows=False):
-    norm = {}
+def _entry_rows(entries):
+    """An entry map as [i, j, k, coeff] rows; its keys may not touch e_0."""
+    rows = []
     for key, value in entries.items():
         if not (isinstance(key, tuple) and len(key) == 2):
             raise AlgebraError(f"entry key {key!r} is not an index pair")
-        i, j = key
-        terms = [value] if isinstance(value, tuple) else list(value)
-        seen = set()
-        for term in terms:
+        if 0 in key:
+            raise AlgebraError(f"entry {key} touches the unit e_0; unit rows are implicit")
+        terms = [value] if isinstance(value, tuple) else value
+        if not isinstance(terms, list):
+            raise AlgebraError(f"entry {key}: {value!r} is neither a (k, coeff) term "
+                               "nor a list of them")
+        for term in terms or [(0, 0.0)]:   # no terms: the zero product
             if not (isinstance(term, (tuple, list)) and len(term) == 2):
                 raise AlgebraError(f"entry {key}: term {term!r} is not (k, coeff)")
-            k = term[0]
-            if k in seen:
-                raise AlgebraError(f"entry {key}: duplicate term for k={k}")
-            seen.add(k)
-        norm[(i, j)] = [(int(k), float(c)) for k, c in terms]
+            rows.append([*key, *term])
+    return rows
 
-    indices = [idx for (i, j) in norm for idx in (i, j)]
-    indices += [k for terms in norm.values() for k, _ in terms]
+
+def _tensor_from_rows(rows, dim, strict=False):
+    """The unit law with each product e_i e_j that rows list replaced by their
+    terms. A row [i, j, k, coeff] needs int indices in [0, dim), a finite real
+    coeff and an (i, j, k) of its own; dim defaults to the largest index + 1."""
+    if dim is not None and not (_is_int(dim) and dim >= 1):
+        raise AlgebraError(f"dim must be an int >= 1, got {dim!r}")
+    if not isinstance(rows, list):
+        raise AlgebraError(f"entries must be a list, got {rows!r}")
+    for row in rows:
+        if not (isinstance(row, list) and len(row) == 4 and all(map(_is_int, row[:3]))
+                and _is_number(row[3])):
+            raise AlgebraError(f"bad entry row {row!r} "
+                               "(want [i, j, k, coeff], ints and a finite number)")
     if dim is None:
-        if not indices:
+        if not rows:
             raise AlgebraError("cannot infer dim from an empty entry map")
-        dim = max(indices) + 1
-    if dim < 1:
-        raise AlgebraError(f"dim must be >= 1, got {dim}")
-    for (i, j), terms in norm.items():
-        if not allow_unit_rows and (i == 0 or j == 0):
-            raise AlgebraError(f"entry ({i},{j}) touches the unit e_0; unit rows are implicit")
-        for idx in (i, j, *(k for k, _ in terms)):
+        dim = max(idx for row in rows for idx in row[:3]) + 1
+    seen = set()
+    for i, j, k, _ in rows:
+        for idx in (i, j, k):
             if not 0 <= idx < dim:
                 raise AlgebraError(f"entry ({i},{j}): index {idx} out of range [0, {dim})")
+        if (i, j, k) in seen:
+            raise AlgebraError(f"entry ({i},{j}): duplicate term for k={k}")
+        seen.add((i, j, k))
+    A = _unit_law(dim)
+    listed = {(i, j) for i, j, _ in seen}
     if strict:
         missing = [(i, j) for i in range(1, dim) for j in range(1, dim)
-                   if (i, j) not in norm]
+                   if (i, j) not in listed]
         if missing:
             raise AlgebraError(f"strict mode: no product listed for pairs {missing}")
-
-    A = np.zeros((dim, dim, dim))
-    A[0] = np.eye(dim)
-    for i in range(dim):
-        A[i, 0, i] = 1.0
-    for (i, j), terms in norm.items():
-        if i == 0 or j == 0:
-            A[i, j] = 0.0
-        for k, c in terms:
-            A[i, j, k] = c
+    for i, j in listed:
+        A[i, j] = 0.0
+    for i, j, k, c in rows:
+        A[i, j, k] = float(c)
     return A
+
+
+def _unit_law(dim):
+    """The (dim, dim, dim) tensor of e_0 e_j = e_j and e_i e_0 = e_i alone."""
+    try:
+        A = np.zeros((dim, dim, dim))
+    except (MemoryError, ValueError) as exc:   # numpy's too-big errors
+        raise AlgebraError(f"dim {dim} is too large to allocate its tensor: {exc}") from exc
+    idx = np.arange(dim)
+    A[0, idx, idx] = A[idx, 0, idx] = 1.0
+    return A
+
+
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    if not (_is_int(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def from_entries(entries, dim=None, name=None, strict=False):
@@ -357,37 +381,11 @@ def algebra_from_doc(doc, source="algebra document"):
     """
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise AlgebraError(f"{source} lacks 'dim'/'entries' keys")
-    dim, rows = doc["dim"], doc["entries"]
-    if not _is_int(dim) or dim < 1:
-        raise AlgebraError(f"{source}: dim must be an int >= 1, got {dim!r}")
-    if not isinstance(rows, list):
-        raise AlgebraError(f"{source}: entries must be a list, got {rows!r}")
-    entries: dict[tuple[int, int], list] = {}
-    for row in rows:
-        if not (isinstance(row, list) and len(row) == 4 and all(map(_is_int, row[:3]))
-                and _is_number(row[3])):
-            raise AlgebraError(f"{source}: bad entry row {row!r} "
-                               "(want [i, j, k, coeff], ints and a finite number)")
-        i, j, k, c = row
-        entries.setdefault((i, j), []).append((k, float(c)))
     try:
-        tensor = _tensor_from_entries(entries, dim, allow_unit_rows=True)
+        tensor = _tensor_from_rows(doc["entries"], doc["dim"])
     except AlgebraError as exc:
         raise AlgebraError(f"{source}: {exc}") from exc
     return StructureConstants.from_tensor(tensor, name=doc.get("name"))
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        return False
 
 
 def save_algebra(algebra, path):
@@ -396,12 +394,17 @@ def save_algebra(algebra, path):
 
 def load_algebra(path):
     """Load an algebra file written by :func:`save_algebra` or by hand."""
+    doc = read_json(path, AlgebraError, "algebra file")
+    return algebra_from_doc(doc, source=f"algebra file {path}")
+
+
+def read_json(path, error, kind):
+    """The JSON document in path; error, naming the file, if it cannot be read."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AlgebraError(f"cannot read algebra file {path}: {exc}") from exc
-    return algebra_from_doc(doc, source=f"algebra file {path}")
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:   # ValueError: bad JSON or UTF-8
+        raise error(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def write_atomic(path, text):

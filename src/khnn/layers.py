@@ -346,22 +346,18 @@ class Dense(_Affine):
 class Activation(Layer):
     file_tag = "activation"
 
-    def __init__(self, kind):
+    def __init__(self, activation):
         super().__init__()
-        if kind not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {kind!r}; "
+        if activation not in _ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}; "
                              f"choose from {sorted(_ACTIVATIONS)}")
-        self.kind = kind
+        self.activation = activation
 
     def forward(self, x):
-        return _ACTIVATIONS[self.kind](x)
+        return _ACTIVATIONS[self.activation](x)
 
     def config(self):
-        return {"activation": self.kind}
-
-    @classmethod
-    def from_config(cls, config):
-        return cls(config["activation"]), None
+        return {"activation": self.activation}
 
 
 class GlobalMaxPool(Layer):

@@ -7,8 +7,8 @@ float64 in enumeration order (layer order, weights before bias).
 
 A layer is {"kind": file_tag, "config": config(), "algebra": document or
 null}. A layer class joins the registry LAYER_CLASSES with a unique
-file_tag and a config() keyed by its constructor arguments plus its
-shape_key, which Layer.from_config reads back, algebra as a keyword.
+file_tag and a config() keyed by its constructor arguments plus any
+shape_key it records; Layer.from_config reads each back, algebra as a keyword.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .algebra import algebra_from_doc, algebra_to_doc, write_atomic
+from .algebra import algebra_from_doc, algebra_to_doc, read_json, write_atomic
 from .tensor import ShapeError, Tensor, no_grad
 
 FORMAT_VERSION = 1
@@ -83,8 +83,12 @@ class Sequential:
             raise RuntimeError("model has no layers")
         if not isinstance(x, Tensor):
             x = Tensor(x)
+        first = self.layers[0]
         if not self.built:
             self._build(x.data.shape[1:])
+        elif x.data.shape == first.in_shape:   # one sample of the built input shape
+            raise ShapeError(f"model input of shape {x.data.shape} has no batch axis: "
+                             f"{first.name} built for input {first.in_shape} needs one")
         layers, i = self.layers, 0
         while i < len(layers):
             layer = layers[i]
@@ -183,11 +187,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelLoadError(f"cannot read model file {path}: {exc}") from exc
+    doc = read_json(path, ModelLoadError, "model file")
     if not isinstance(doc, dict):
         raise ModelLoadError(f"model file {path} holds no JSON object")
     version = doc.get("format_version")

@@ -427,8 +427,6 @@ def _conv_geometry(x_shape, k_shape, stride, padding):
     padded = tuple(s + lo + hi for s, (lo, hi) in zip(spatial, pads))
     if any(k > p for k, p in zip(ksize, padded)):
         raise ShapeError(f"kernel {ksize} larger than padded input {padded}")
-    if any(o < 1 for o in out):
-        raise ShapeError(f"conv output would be empty: input {spatial}, kernel {ksize}")
     return stride, pads, out
 
 

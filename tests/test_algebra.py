@@ -22,6 +22,7 @@ from khnn.algebra import (
     save_algebra,
     write_atomic,
 )
+from khnn.model import ModelLoadError, load_model
 
 ALL_NAMES = predefined_names()
 
@@ -91,6 +92,88 @@ class TestFromEntries:
     def test_multi_term_products(self):
         alg = from_entries({(1, 1): [(0, 1), (1, 2)]}, dim=2)
         npt.assert_array_equal(alg.mult([0, 1], [0, 1]), [1.0, 2.0])
+
+
+class TestOneTermRule:
+    # entry maps the cast-only reading once took or failed on raw, each with
+    # the document row that writes the same term
+    BAD = {
+        "float-k": ({(1, 1): (0.5, -1)}, [1, 1, 0.5, -1]),
+        "bool-key": ({(True, True): (0, -1)}, [True, True, 0, -1]),
+        "nan-coeff": ({(1, 1): (0, float("nan"))}, [1, 1, 0, float("nan")]),
+        "bool-coeff": ({(1, 1): (0, True)}, [1, 1, 0, True]),
+        "str-k": ({(1, 1): ("0", -1)}, [1, 1, "0", -1]),
+        "float-key": ({(1.0, 1): (0, -1)}, [1.0, 1, 0, -1]),
+        "fractional-key": ({(1.5, 1): (0, -1)}, [1.5, 1, 0, -1]),
+    }
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_entry_map_refuses_what_a_file_refuses(self, tmp_path, name):
+        entries, row = self.BAD[name]
+        with pytest.raises(AlgebraError, match=r"^bad entry row \["):
+            StructureConstants(entries, dim=2)
+        with pytest.raises(AlgebraError, match=r"^bad entry row \["):
+            StructureConstants(entries)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dim": 2, "entries": [row]}))
+        message = re.escape(f"algebra file {path}: bad entry row")
+        with pytest.raises(AlgebraError, match=message):
+            load_algebra(path)
+
+    @pytest.mark.parametrize("value", [5, 0.5, "0,-1", {0: -1}, None, np.array([0, -1])])
+    def test_value_that_is_no_term_or_list_is_refused(self, value):
+        with pytest.raises(AlgebraError, match=r"^entry \(1, 1\): .* is neither a "
+                                               r"\(k, coeff\) term nor a list of them$"):
+            StructureConstants({(1, 1): value}, dim=2)
+
+    def test_numpy_scalars_pass_the_rule(self):
+        entries = {(np.int64(1), np.int32(1)): (np.int16(0), np.float32(-1.0))}
+        assert StructureConstants(entries) == predefined("complex")
+        assert StructureConstants({(1, 1): [(0, np.int64(-1))]}, dim=np.int64(2)) == \
+            predefined("complex")
+
+    def test_empty_term_list_is_a_listed_zero_product(self):
+        alg = from_entries({(1, 1): []}, dim=2, strict=True)
+        npt.assert_array_equal(alg.tensor[1, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("dim", [2.0, True, "2", 0])
+    def test_dim_argument_follows_the_file_rule(self, dim):
+        with pytest.raises(AlgebraError, match=r"^dim must be an int >= 1"):
+            StructureConstants({(1, 1): (0, -1)}, dim=dim)
+
+    def test_neither_entries_nor_dim(self):
+        with pytest.raises(AlgebraError, match="^need an entry map, a dim, or both$"):
+            StructureConstants()
+
+    def test_from_tensor_refuses_a_non_cube(self):
+        with pytest.raises(AlgebraError, match=r"must be \(n, n, n\), got \(2, 2, 3\)"):
+            StructureConstants.from_tensor(np.zeros((2, 2, 3)))
+
+    def test_basis_index_out_of_range(self):
+        with pytest.raises(AlgebraError, match=r"basis index 2 out of range \[0, 2\)"):
+            predefined("complex").basis(2)
+
+
+class TestUnallocatableDim:
+    # numpy refuses each of these at once, without allocating
+    DIMS = [10 ** 6, 10 ** 10, 10 ** 30]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_dim_argument(self, dim):
+        with pytest.raises(AlgebraError, match=f"^dim {dim} is too large to allocate"):
+            StructureConstants(dim=dim)
+
+    def test_inferred_dim(self):
+        with pytest.raises(AlgebraError, match=f"^dim {10 ** 30 + 1} is too large"):
+            StructureConstants({(1, 10 ** 30): (0, -1)})
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_algebra_file_names_the_file_and_the_dim(self, tmp_path, dim):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "dim": dim, "entries": []}))
+        with pytest.raises(AlgebraError, match=re.escape(
+                f"algebra file {path}: dim {dim} is too large")):
+            load_algebra(path)
 
 
 class TestMult:
@@ -248,6 +331,16 @@ class TestAlgebraFiles:
         path.write_text("{not json")
         with pytest.raises(AlgebraError):
             load_algebra(path)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, b"\xff\xfe"],
+                             ids=["nested", "not-utf8"])
+    def test_unparsable_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        with pytest.raises(AlgebraError, match=re.escape(f"cannot read algebra file {path}")):
+            load_algebra(path)
+        with pytest.raises(ModelLoadError, match=re.escape(f"cannot read model file {path}")):
+            load_model(path)
 
     def test_missing_keys(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from khnn import layers as L
 from khnn.algebra import predefined, predefined_names
-from khnn.cli import main
+from khnn.cli import _make_optimizer, main
 from khnn.layers import Dense, HyperConv2D, HyperDense
 from khnn.tensor import Tensor
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -130,6 +137,17 @@ class TestTrainXor:
         monkeypatch.setenv("KHNN_SEED", "2")
         run(capsys, "train-xor", "--epochs", "10", "--seed", "7", "--out", str(b))
         assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
+
+    def test_non_integer_env_seed_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("KHNN_SEED", "abc")
+        code, _, err = run(capsys, "train-xor", "--epochs", "1", "--out", str(tmp_path))
+        assert code == 2
+        assert err == "error: KHNN_SEED='abc' is not an integer\n"
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_sgd_default_rate(self):
+        assert _make_optimizer("sgd", None).lr == 0.015
+        assert _make_optimizer("sgd", 0.5).lr == 0.5
 
     def test_bad_epochs_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "train-xor", "--epochs", "0",
@@ -274,6 +292,15 @@ class TestParamReport:
 
 
 class TestUsage:
+    def test_module_entry_point_runs(self):
+        # the console script calls the same cli.entry
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "khnn.cli", "algebra-check", "octonions"]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "alternative: True" in done.stdout.splitlines()
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -189,6 +189,19 @@ class TestHelperLayers:
         with pytest.raises(ValueError):
             Activation("relu")
 
+    def test_activation_takes_its_config_key_as_its_argument(self):
+        layer = Activation(activation="sigmoid")
+        assert layer.activation == "sigmoid"
+        assert layer.config() == {"activation": "sigmoid"}
+        assert "from_config" not in vars(Activation)
+        again, shape = Activation.from_config(layer.config())
+        assert again.activation == "sigmoid" and shape is None
+
+    def test_affine_layer_refuses_an_unknown_activation(self):
+        with pytest.raises(ValueError, match=r"^unknown activation 'relu'; choose from "
+                                             r"\['sigmoid', 'tanh'\] or None$"):
+            Dense(1, activation="relu")
+
     def test_flatten(self):
         out = Flatten()(Tensor(np.zeros((2, 3, 4))))
         assert out.data.shape == (2, 12)

@@ -97,6 +97,25 @@ class TestForward:
         with pytest.raises(ShapeError, match="^Flatten needs a feature axis"):
             Flatten()(Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("first", [Flatten, lambda: Dense(2)], ids=["flatten", "dense"])
+    def test_built_model_fed_one_sample_names_the_model_input(self, first):
+        model = Sequential([first(), Dense(1)], seed=1)
+        model.predict(np.zeros((2, 3)))
+        name = model.layers[0].name
+        with pytest.raises(ShapeError, match=re.escape(
+                f"model input of shape (3,) has no batch axis: {name} built for "
+                "input (3,) needs one") + "$"):
+            model.predict(np.zeros(3))
+        assert model.predict(np.zeros((1, 3))).shape == (1, 1)
+
+    def test_unbuilt_dense_model_fed_a_1d_input_builds_nothing(self):
+        model = Sequential([Dense(2), Dense(1)], seed=1)
+        with pytest.raises(ShapeError, match=r"^cannot connect input to Dense \(layer 0\): "
+                                             r"Dense expects flat \(batch, width\) input"):
+            model.predict(np.zeros(3))
+        assert not any(layer.built for layer in model.layers)
+        assert model._seed_seq is None
+
     def test_add_appends(self):
         model = Sequential()
         model.add(Dense(2))
@@ -279,6 +298,16 @@ class TestSerialization:
         with pytest.raises(ModelLoadError, match=re.escape(str(path))):
             load_model(path)
 
+    def test_unregistered_layer_subclass_is_not_saved(self, tmp_path):
+        class Doubling(L.Layer):
+            def forward(self, x):
+                return x
+
+        model = Sequential([Doubling(), Dense(1)], seed=0)
+        with pytest.raises(ValueError, match="^cannot serialize layer of type Doubling$"):
+            save_model(model, tmp_path / "model.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_hyper_layer_without_algebra_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(xor_model(seed=8), path)
@@ -439,6 +468,16 @@ class TestGoldenFiles:
             load_model(path)
         assert str(path) in str(info.value)
         assert "cannot connect HyperDense to GlobalMaxPool (layer 1)" in str(info.value)
+
+    @pytest.mark.parametrize("dim", [10 ** 6, 10 ** 10, 10 ** 30])
+    def test_unallocatable_algebra_dim_names_the_file(self, tmp_path, dim):
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["layers"][0]["algebra"]["dim"] = dim
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"malformed model file {path}: algebra document: dim {dim} is too large")):
+            load_model(path)
 
     @pytest.mark.parametrize("name", ["v1_conv_f32", "v1_dense_nonunital"])
     def test_predicts_stored_outputs_and_resaves_byte_identical(self, tmp_path, name):

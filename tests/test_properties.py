@@ -4,6 +4,9 @@ The examples are fixed by the derandomized profile in conftest.py, so
 every run checks the same cases.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -13,18 +16,20 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from khnn import tensor as T  # noqa: E402
-from khnn.algebra import (StructureConstants, load_algebra, predefined,  # noqa: E402
-                          predefined_names, save_algebra)
+from khnn.algebra import (AlgebraError, StructureConstants, algebra_from_doc,  # noqa: E402
+                          check_unit, load_algebra, predefined, predefined_names,
+                          save_algebra)
 from khnn.layers import (Activation, Dense, Flatten, GlobalMaxPool,  # noqa: E402
                          HyperConv1D, HyperConv2D, HyperConv3D, HyperDense,
                          assemble_conv_kernel)
-from khnn.model import Sequential, load_model, save_model  # noqa: E402
+from khnn.model import ModelLoadError, Sequential, load_model, save_model  # noqa: E402
 from khnn.tensor import Tensor  # noqa: E402
 from khnn.training import BCE_CLAMP, bce_loss  # noqa: E402
 
 from conftest import naive_conv_nd, naive_hyperconv, naive_hyperdense  # noqa: E402
 
 CONV_BY_D = {1: HyperConv1D, 2: HyperConv2D, 3: HyperConv3D}
+DATA = Path(__file__).parent / "data"
 
 
 @st.composite
@@ -429,3 +434,129 @@ class TestAlgebraFileProperties:
         loaded = load_algebra(path)
         npt.assert_array_equal(loaded.tensor, tensor)
         assert loaded.name == "drawn"
+
+
+# scalars of every kind a hand-written entry map might hold
+odd_scalars = st.one_of(
+    st.integers(0, 3).map(np.int64), st.sampled_from([1.0, 0.5, -1.0]), st.booleans(),
+    st.sampled_from(["0", "1"]), st.just(float("nan")), st.none())
+
+
+@st.composite
+def entry_maps(draw):
+    """(entries, dim): a well-formed entry map spelled with Python and numpy
+    scalars, half the time with one odd scalar put in a key, a term or in
+    place of a value; and a dim or None."""
+    ij = st.integers(1, 3) | st.integers(1, 3).map(np.int64)
+    k = st.integers(0, 3) | st.integers(0, 3).map(np.int32)
+    coeff = (st.floats(-4, 4, allow_nan=False) | st.integers(-3, 3)
+             | st.floats(-4, 4, width=32).map(np.float32))
+    entries = {}
+    for key in draw(st.lists(st.tuples(ij, ij), max_size=3, unique=True)):
+        terms = draw(st.lists(st.tuples(k, coeff), max_size=2,
+                              unique_by=lambda term: int(term[0])))
+        entries[key] = terms[0] if len(terms) == 1 and draw(st.booleans()) else terms
+    if entries and draw(st.booleans()):
+        key = draw(st.sampled_from(list(entries)))
+        where, odd = draw(st.integers(0, 4)), draw(odd_scalars)
+        if where < 2:
+            value = entries.pop(key)
+            entries[(odd, key[1]) if where == 0 else (key[0], odd)] = value
+        elif where < 4:
+            value = entries[key]
+            terms = [value] if isinstance(value, tuple) else value or [(1, 1.0)]
+            term = list(terms[0])
+            term[where - 2] = odd
+            entries[key] = [tuple(term), *terms[1:]]
+        else:
+            entries[key] = odd
+    return entries, draw(st.one_of(st.none(), st.integers(1, 4)))
+
+
+def is_index(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+class TestEntryMapProperties:
+    @settings(max_examples=100)
+    @given(entry_maps())
+    def test_map_equals_its_document_or_is_refused(self, case):
+        entries, dim = case
+        try:
+            alg = StructureConstants(entries, dim=dim)
+        except AlgebraError:
+            return
+        rows = [[i, j, k, c] for (i, j), value in entries.items()
+                for k, c in ([value] if isinstance(value, tuple) else value) or [(0, 0.0)]]
+        assert all(is_index(idx) and idx >= 1 for row in rows for idx in row[:2])
+        assert all(is_index(row[2]) for row in rows)
+        assert all(not isinstance(row[3], bool) and np.isfinite(row[3]) for row in rows)
+        assert check_unit(alg)
+        doc = algebra_from_doc({"dim": alg.dim, "entries": rows})
+        npt.assert_array_equal(alg.tensor, doc.tensor)
+
+
+def _paths(node, path=()):
+    """Every key path below node, the root excluded."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+# small values, or values far too large to allocate for, never a mid-size
+# one that would make a loader allocate gigabytes
+file_ints = st.one_of(st.integers(-2, 4), st.sampled_from([10 ** 6, 10 ** 10, 10 ** 30]),
+                      st.integers(10 ** 6, 10 ** 30))
+other_types = st.sampled_from([None, True, "x", 2.5, 3.0, [], {}, [1, 2], {"a": 1}])
+SIZE_KEYS = {"dim", "units", "filters", "kernel_size", "stride", "in_shape", "in_elems",
+             "in_width"}
+
+
+@st.composite
+def mutated_golden_docs(draw):
+    """A golden model document with one or two keys dropped or retyped, a
+    blob or list truncated, or a shape or dim set to another integer."""
+    name = draw(st.sampled_from(["v1_conv_f32", "v1_dense_nonunital"]))
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    for _ in range(draw(st.integers(1, 2))):
+        paths = sorted(_paths(doc), key=repr)
+        kind = draw(st.sampled_from(["drop", "retype", "size", "truncate"]))
+        if kind == "size":
+            paths = [p for p in paths if SIZE_KEYS & set(p)] or paths
+        elif kind == "truncate":
+            paths = [p for p in paths if isinstance(_at(doc, p), (str, list))]
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(other_types)
+        elif kind == "size":
+            parent[key] = draw(file_ints)
+        else:
+            parent[key] = parent[key][:draw(st.integers(0, max(len(parent[key]) - 1, 0)))]
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+class TestGoldenFileMutations:
+    @settings(max_examples=100)
+    @given(mutated_golden_docs())
+    def test_every_refusal_is_a_load_error_naming_the_file(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("mutated") / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_model(path)
+        except (ModelLoadError, AlgebraError) as exc:
+            assert str(path) in str(exc)

@@ -118,6 +118,10 @@ class TestMatmul:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_one_dimensional_operands_are_refused(self):
+        with pytest.raises(ShapeError, match=r"^matmul is 2-D only, got \(3,\) @ \(3, 2\)"):
+            T.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
+
     def test_backward_vs_finite_difference(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -160,6 +164,16 @@ class TestConv:
         k = Tensor(np.ones((3, 3, 1, 1)))
         out = T.conv_nd(x, k)
         npt.assert_array_equal(out.data, np.full((1, 1, 1, 1), 9.0))
+
+    def test_kernel_without_a_spatial_axis_is_refused(self):
+        with pytest.raises(ShapeError, match=r"^conv kernel must have 1-3 spatial axes, "
+                                             r"got shape \(1, 1\)$"):
+            T.conv_nd(Tensor(np.ones((1, 3, 1))), Tensor(np.ones((1, 1))))
+
+    def test_input_rank_must_match_the_kernel(self):
+        with pytest.raises(ShapeError, match=r"^conv input \(1, 3, 1\) does not match "
+                                             r"kernel \(1, 1, 1, 1\)$"):
+            T.conv_nd(Tensor(np.ones((1, 3, 1))), Tensor(np.ones((1, 1, 1, 1))))
 
     def test_one_by_one_identity(self):
         rng = np.random.default_rng(2)
@@ -446,6 +460,12 @@ class TestFiniteDiff:
         err = T.finite_diff_check(
             lambda t: T.tensor_sum(T.sigmoid(T.conv_nd(x, t))), k)
         assert err < 1e-6
+
+
+    def test_non_scalar_function_is_refused(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeError, match="^finite_diff_check needs a scalar-valued"):
+            T.finite_diff_check(lambda t: T.mul(t, t), w)
 
 
 class TestDeterminism:

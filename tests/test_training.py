@@ -353,6 +353,13 @@ class TestFit:
             else:
                 fit(model, y, y, epochs=1, optimizer=SGD(), validation=(x, y))
 
+    def test_zero_dimensional_x_needs_a_batch_axis(self):
+        model = linear_probe_model(seed=17)
+        with pytest.raises(ValueError, match=r"^x and y need a batch axis, got shapes "
+                                             r"\(\) and \(1, 1\)$"):
+            fit(model, np.float64(1.0), np.zeros((1, 1)), epochs=1, optimizer=SGD())
+        assert not model.built
+
     @pytest.mark.parametrize("run", ["fit", "evaluate", "validation"])
     def test_zero_rows_are_named_not_diverged(self, run):
         model = linear_probe_model(seed=18)
