@@ -21,6 +21,8 @@ import tempfile
 
 import numpy as np
 
+from .tensor import _coerce as _real_array
+
 
 class AlgebraError(ValueError):
     """Invalid table data or an element of the wrong dimension."""
@@ -96,7 +98,7 @@ class StructureConstants:
         return e
 
     def _coerce(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = _real_array(x, np.float64)
         if x.shape != (self.dim,):
             raise AlgebraError(f"element of shape {x.shape} does not fit dim {self.dim}")
         return x
@@ -381,11 +383,14 @@ def algebra_from_doc(doc, source="algebra document"):
     """
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise AlgebraError(f"{source} lacks 'dim'/'entries' keys")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise AlgebraError(f"{source}: name must be a string or null, got {name!r}")
     try:
         tensor = _tensor_from_rows(doc["entries"], doc["dim"])
     except AlgebraError as exc:
         raise AlgebraError(f"{source}: {exc}") from exc
-    return StructureConstants.from_tensor(tensor, name=doc.get("name"))
+    return StructureConstants.from_tensor(tensor, name=name)
 
 
 def save_algebra(algebra, path):

@@ -15,6 +15,8 @@ with weights their layout in param_shapes(in_shape) -> (weight shape, bias
 shape); both check the input. A model builds all its layers in one pass
 at its first forward, a lone layer from the first input it sees. A built
 layer then rejects input that would size other weights, naming itself.
+Only layers with weights take a seed and a dtype; one built without a
+generator draws from its seed, and a model spawns one for each other layer.
 Weights draw from a uniform distribution with limit
 sqrt(6 / (fan_in + fan_out)), each fan being the lowered real kernel's
 receptive field (prod(kernel_size), 1 for dense layers) times its input
@@ -52,21 +54,14 @@ class Layer:
 
     file_tag = None         # the layer's "kind" in model files
     shape_key = "in_shape"  # the config() key recording the built input shape
-
-    def __init__(self, seed=None, dtype=np.float64):
-        self.built = False
-        self.in_shape = None
-        self.out_shape = None
-        self.seed = seed
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.float32, np.float64):
-            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+    seed = None             # a weightless layer has none, so a model always spawns for it
+    built, in_shape, out_shape = False, None, None   # until build()
 
     @property
     def name(self):
         return type(self).__name__
 
-    def build(self, in_shape, rng):
+    def build(self, in_shape, rng=None):
         """Record the input and output shapes; rng seeds any weights."""
         self.out_shape = self.output_shape(tuple(in_shape))
         self.in_shape = tuple(in_shape)
@@ -100,13 +95,9 @@ class Layer:
     def _shape_from(self, recorded):
         return tuple(recorded)
 
-    def _param(self, values):
-        return Tensor(np.asarray(values, dtype=self.dtype), requires_grad=True)
-
     def __call__(self, x):
         if not self.built:
-            rng = np.random.default_rng(self.seed)
-            self.build(x.data.shape[1:], rng)
+            self.build(x.data.shape[1:])
         return self.forward(x)
 
 
@@ -119,7 +110,10 @@ class _Affine(Layer):
     kernel_size = ()   # spatial extent of the kernel; dense layers have none
 
     def __init__(self, activation, seed, dtype):
-        super().__init__(seed, dtype)
+        self.seed = seed
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
         if activation is not None and activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; "
                              f"choose from {sorted(_ACTIVATIONS)} or None")
@@ -127,13 +121,16 @@ class _Affine(Layer):
         self.weights = None
         self.bias = None
 
-    def build(self, in_shape, rng):
-        super().build(in_shape, rng)
+    def build(self, in_shape, rng=None):
+        """Build for in_shape, drawing the weights from rng, else from self.seed."""
+        super().build(in_shape)
+        rng = np.random.default_rng(self.seed) if rng is None else rng
         weight_shape, bias_shape = self.param_shapes(self.in_shape)
         receptive = math.prod(self.kernel_size)
         fan_in, fan_out = receptive * self.in_shape[-1], receptive * bias_shape[0]
-        self.weights = self._param(glorot_uniform(weight_shape, fan_in, fan_out, rng))
-        self.bias = self._param(np.zeros(bias_shape))
+        self.weights = Tensor(glorot_uniform(weight_shape, fan_in, fan_out, rng),
+                              requires_grad=True, dtype=self.dtype)
+        self.bias = Tensor(np.zeros(bias_shape), requires_grad=True, dtype=self.dtype)
 
     def output_shape(self, in_shape):
         return self.param_shapes(in_shape)[1]
@@ -219,7 +216,7 @@ class HyperDense(_Affine):
         self.units = T._positive_int("units", units)
         self.algebra = _resolve_algebra(algebra)
         if input_shape is not None:
-            self.build(input_shape, np.random.default_rng(seed))
+            self.build(input_shape)
 
     def param_shapes(self, in_shape):
         """(units, m, n) weight elements and a units*n bias, for m*n inputs."""
@@ -347,7 +344,6 @@ class Activation(Layer):
     file_tag = "activation"
 
     def __init__(self, activation):
-        super().__init__()
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}; "
                              f"choose from {sorted(_ACTIVATIONS)}")

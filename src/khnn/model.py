@@ -9,6 +9,8 @@ A layer is {"kind": file_tag, "config": config(), "algebra": document or
 null}. A layer class joins the registry LAYER_CLASSES with a unique
 file_tag and a config() keyed by its constructor arguments plus any
 shape_key it records; Layer.from_config reads each back, algebra as a keyword.
+load_model builds each layer at the shape it records, else at the one the
+chain from layer 0's record brings it, in one pass that draws no seed.
 """
 
 from __future__ import annotations
@@ -119,13 +121,12 @@ class Sequential:
         """Build each unbuilt layer for the shape that reaches it from shape.
 
         The whole shape chain is checked first, so a model that cannot
-        connect builds no layer and draws no seed.
+        connect builds no layer and draws no seed. Each layer without its
+        own seed, weightless ones included, takes the next spawned child.
         """
         for layer, in_shape in zip(self.layers, self._input_shapes(shape)):
             if not layer.built:
-                rng = (np.random.default_rng(layer.seed) if layer.seed is not None
-                       else self._next_rng())
-                layer.build(in_shape, rng)
+                layer.build(in_shape, None if layer.seed is not None else self._next_rng())
 
     def predict(self, x):
         """Forward pass without gradient recording; returns a numpy array."""
@@ -191,21 +192,20 @@ def load_model(path):
     if not isinstance(doc, dict):
         raise ModelLoadError(f"model file {path} holds no JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelLoadError(f"model file {path} has unsupported format_version "
                              f"{version!r} (expected {FORMAT_VERSION})")
     try:
         pairs = [_layer_from_doc(d) for d in doc["layers"]]
         raws = [base64.b64decode(blob) for blob in doc["weights"]]
         model = Sequential([layer for layer, _ in pairs])
-        # the chain from layer 0's shape, else each recorded shape alone
-        chained = bool(pairs) and pairs[0][1] is not None
-        shapes = model._input_shapes(pairs[0][1]) if chained else [s for _, s in pairs]
-        saved = [(layer, shape) for (layer, rec), shape in zip(pairs, shapes)
-                 if rec is not None]
+        shapes = [record for _, record in pairs]
+        if shapes and shapes[0] is not None:   # else each layer's record alone
+            chain = model._input_shapes(shapes[0])
+            shapes = [c if s is None else s for s, c in zip(shapes, chain)]
         # each blob is checked against its shape before any weight is drawn
-        expected = [s for layer, shape in saved if isinstance(layer, L._Affine)
-                    for s in layer.param_shapes(shape)]
+        expected = [s for layer, record in pairs if record is not None
+                    and isinstance(layer, L._Affine) for s in layer.param_shapes(record)]
         if len(raws) != len(expected):
             raise ValueError(f"'weights' holds {len(raws)} parameter blobs, "
                              f"expected {len(expected)}")
@@ -214,13 +214,12 @@ def load_model(path):
                 raise ValueError(f"parameter blob {i} holds {len(raw)} bytes, "
                                  f"expected {math.prod(shape) * 8}")
         placeholder = np.random.default_rng(0)   # weights the blobs overwrite
-        for layer, shape in saved:
-            layer.build(shape, placeholder)
-        if chained:
-            model._build(pairs[0][1])
+        for layer, shape in zip(model.layers, shapes):
+            if shape is not None:
+                layer.build(shape, placeholder)
     except (KeyError, TypeError, ValueError) as exc:   # binascii.Error included
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
-    params = [p for layer, _ in saved for p in layer.params()]
+    params = [p for layer, record in pairs if record is not None for p in layer.params()]
     for p, raw in zip(params, raws):
         decoded = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
         p.data = decoded.astype(p.data.dtype)

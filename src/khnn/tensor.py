@@ -51,11 +51,12 @@ def no_grad():
 
 
 def _coerce(data, dtype=None):
-    if dtype is not None:
-        return np.asarray(data, dtype=dtype)
     arr = np.asarray(data)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
+    if arr.dtype not in (np.float32, np.float64) or dtype is not None:
+        if arr.dtype.kind == "c":
+            raise ValueError("complex data is refused: an algebra element is a row of real "
+                             "coordinates, so a complex number is 2 wide over 'complex'")
+        arr = arr.astype(np.float64 if dtype is None else dtype, copy=False)
     return arr
 
 

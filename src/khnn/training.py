@@ -147,8 +147,13 @@ def _check_data(x, y):
     Bad data fails here, naming the argument, rather than later as a
     shape error inside the loss or as a diverged loss.
     """
-    x = T._coerce(x)
-    y = np.asarray(y, dtype=x.dtype)
+    name = "x"
+    try:
+        x = T._coerce(x)
+        name = "y"
+        y = T._coerce(y, x.dtype)
+    except (TypeError, ValueError) as exc:   # ragged, strings, objects, complex
+        raise ValueError(f"{name}: {exc}") from exc
     if x.ndim == 0 or y.ndim == 0:
         raise ValueError(f"x and y need a batch axis, got shapes {x.shape} and {y.shape}")
     if x.shape[0] == 0:
@@ -178,15 +183,15 @@ def evaluate(model, x, y, loss_fn=bce_loss):
     return float(loss.data), accuracy(pred, y)
 
 
-def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
+def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
         validation=None, batch_size=None, verbose=False):
     """Train by gradient descent and record per-epoch history.
 
     Full batch by default; pass batch_size for sequential mini-batches.
     The loss/accuracy recorded for an epoch are measured on the forward
-    passes of that epoch, before the following update is visible. With a
-    seed and an unbuilt model, initialization (and hence the whole run)
-    is deterministic.
+    passes of that epoch, before the following update is visible. An
+    unbuilt model is built at the first step from its own seeds, so a
+    Sequential(..., seed=s) makes the whole run deterministic.
     """
     T._positive_int("epochs", epochs)
     if batch_size is not None:
@@ -201,8 +206,6 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
             validation = _check_data(*validation)
         except ValueError as exc:
             raise ValueError(f"validation: {exc}") from exc
-    if seed is not None and not model.built and model.seed is None:
-        model.seed = seed
     count = x.shape[0]
     step = batch_size or count
     bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
@@ -229,7 +232,10 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss, seed=None,
         history.loss.append(total / count)
         history.accuracy.append(accuracy(preds, y))
         if validation is not None:
-            val_loss, val_acc = evaluate(model, *validation, loss_fn=loss_fn)
+            try:
+                val_loss, val_acc = evaluate(model, *validation, loss_fn=loss_fn)
+            except ValueError as exc:   # a shape or target the model or loss refuses
+                raise type(exc)(f"validation: {exc}") from exc
             history.val_loss.append(val_loss)
             history.val_accuracy.append(val_acc)
         if verbose:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 from khnn.algebra import (
     AlgebraError,
     StructureConstants,
+    algebra_to_doc,
     cayley_dickson,
     check_alternative,
     check_associative,
@@ -25,6 +27,7 @@ from khnn.algebra import (
 from khnn.model import ModelLoadError, load_model
 
 ALL_NAMES = predefined_names()
+DATA = Path(__file__).parent / "data"
 
 # Hamilton's table written out by hand: ij = k, jk = i, ki = j, squares -1.
 # Independent of both the registry data and the doubling construction.
@@ -421,3 +424,42 @@ class TestRendering:
 
     def test_reals_table(self):
         assert multiplication_table(predefined("Reals")) == [["e0"]]
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("call", ["mult", "left_matrix"])
+    def test_complex_element_is_refused(self, call):
+        alg = predefined("complex")
+        args = [np.array([1j, 1])] + ([[1, 0]] if call == "mult" else [])
+        with pytest.raises(ValueError, match="complex data is refused: .* a complex "
+                                             "number is 2 wide over 'complex'"):
+            getattr(alg, call)(*args)
+
+    @pytest.mark.parametrize("name", [["x"], 3, True, {"a": 1}])
+    def test_name_must_be_a_string_or_null(self, tmp_path, name):
+        doc = algebra_to_doc(predefined("complex"))
+        doc["name"] = name
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(AlgebraError, match=re.escape(
+                f"algebra file {path}: name must be a string or null, got {name!r}")):
+            load_algebra(path)
+
+    def test_name_in_a_model_file_names_the_file(self, tmp_path):
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["layers"][0]["algebra"]["name"] = ["x"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"malformed model file {path}: algebra document: name must be a "
+                "string or null, got ['x']")) as info:
+            load_model(path)
+        assert isinstance(info.value.__cause__, AlgebraError)
+
+    @pytest.mark.parametrize("name", [None, "mine"])
+    def test_null_or_string_name_loads(self, tmp_path, name):
+        doc = algebra_to_doc(predefined("complex"))
+        doc["name"] = name
+        path = tmp_path / "alg.json"
+        path.write_text(json.dumps(doc))
+        assert load_algebra(path).name == name

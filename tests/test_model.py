@@ -490,3 +490,80 @@ class TestGoldenFiles:
         save_model(model, tmp_path / "resaved.json")
         assert ((tmp_path / "resaved.json").read_bytes()
                 == (DATA / f"{name}.json").read_bytes())
+
+
+class TestLoadInOnePass:
+    """load_model builds each layer at the shape it records, else at the one
+    the chain from layer 0's record brings it, and draws no seed."""
+
+    def test_lone_built_conv_keeps_its_recorded_shape(self, tmp_path):
+        conv = HyperConv2D(2, (3, 3), seed=1)
+        conv.build((5, 5, 4))
+        model = Sequential([HyperConv2D(1, (1, 1)), conv, Activation("tanh")], seed=2)
+        x = np.random.default_rng(3).standard_normal((2, 7, 7, 4))
+        pred = model.predict(x)
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.layers[1].in_shape == (5, 5, 4)
+        assert str(loaded.summary()) == str(model.summary())
+        npt.assert_array_equal(loaded.predict(x), pred)
+        save_model(loaded, tmp_path / "resaved.json")
+        assert ((tmp_path / "resaved.json").read_bytes()
+                == (tmp_path / "model.json").read_bytes())
+
+    @pytest.mark.parametrize("name", ["v1_conv_f32", "v1_dense_nonunital"])
+    def test_golden_file_loads_without_a_seed_sequence(self, name, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model made a seed sequence")
+
+        model = load_model(DATA / f"{name}.json")
+        assert model.built
+        assert model._seed_seq is None
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        load_model(DATA / f"{name}.json")
+
+    def test_record_edited_against_its_blob_is_refused_not_rewritten(self, tmp_path):
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["layers"][2]["config"]["in_width"] = 3   # Flatten brings 6, the blob holds 6
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"malformed model file {path}: parameter blob 2 holds 48 bytes, "
+                "expected 24")):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_format_version_must_be_the_int_1(self, tmp_path, version):
+        doc = json.loads((DATA / "v1_dense_nonunital.json").read_text())
+        doc["format_version"] = version
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"model file {path} has unsupported format_version {version!r}")):
+            load_model(path)
+
+
+class TestOnlyWeightedLayersTakeSeeds:
+    @pytest.mark.parametrize("make", [lambda: GlobalMaxPool(seed=1),
+                                      lambda: Flatten(seed=1),
+                                      lambda: GlobalMaxPool(dtype=np.float32),
+                                      lambda: Flatten(dtype=np.float32)],
+                             ids=["pool-seed", "flatten-seed", "pool-dtype", "flatten-dtype"])
+    def test_weightless_layers_take_no_seed_or_dtype(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_weightless_layers_keep_their_place_in_the_spawn_order(self):
+        # each layer without its own seed takes the next child, weightless or not
+        model = Sequential([HyperConv2D(1, (3, 3)), GlobalMaxPool(), Dense(1)], seed=5)
+        model.predict(np.zeros((1, 4, 4, 4)))
+        third = np.random.default_rng(np.random.SeedSequence(5).spawn(3)[2])
+        npt.assert_array_equal(model.layers[2].weights.data,
+                               L.glorot_uniform((4, 1), 4, 1, third))
+
+    def test_a_layer_built_alone_draws_from_its_own_seed(self):
+        alone = HyperDense(2, algebra="complex", seed=4)
+        alone.build((4,))
+        in_model = HyperDense(2, algebra="complex", seed=4)
+        Sequential([in_model], seed=99).predict(np.zeros((1, 4)))
+        npt.assert_array_equal(alone.weights.data, in_model.weights.data)

@@ -4,7 +4,9 @@ The examples are fixed by the derandomized profile in conftest.py, so
 every run checks the same cases.
 """
 
+import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +19,14 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from khnn import tensor as T  # noqa: E402
 from khnn.algebra import (AlgebraError, StructureConstants, algebra_from_doc,  # noqa: E402
-                          check_unit, load_algebra, predefined, predefined_names,
+                          algebra_to_doc, check_unit, load_algebra, predefined, predefined_names,
                           save_algebra)
 from khnn.layers import (Activation, Dense, Flatten, GlobalMaxPool,  # noqa: E402
                          HyperConv1D, HyperConv2D, HyperConv3D, HyperDense,
                          assemble_conv_kernel)
 from khnn.model import ModelLoadError, Sequential, load_model, save_model  # noqa: E402
 from khnn.tensor import Tensor  # noqa: E402
-from khnn.training import BCE_CLAMP, bce_loss  # noqa: E402
+from khnn.training import BCE_CLAMP, Adam, bce_loss, evaluate, fit  # noqa: E402
 
 from conftest import naive_conv_nd, naive_hyperconv, naive_hyperdense  # noqa: E402
 
@@ -513,7 +515,9 @@ def _paths(node, path=()):
 # one that would make a loader allocate gigabytes
 file_ints = st.one_of(st.integers(-2, 4), st.sampled_from([10 ** 6, 10 ** 10, 10 ** 30]),
                       st.integers(10 ** 6, 10 ** 30))
-other_types = st.sampled_from([None, True, "x", 2.5, 3.0, [], {}, [1, 2], {"a": 1}])
+# copied per draw: a shared list or dict could be mutated, or put inside itself
+other_types = st.sampled_from([None, True, "x", 2.5, 3.0, [], {}, [1, 2], {"a": 1}]).map(
+    copy.deepcopy)
 SIZE_KEYS = {"dim", "units", "filters", "kernel_size", "stride", "in_shape", "in_elems",
              "in_width"}
 
@@ -560,3 +564,114 @@ class TestGoldenFileMutations:
             load_model(path)
         except (ModelLoadError, AlgebraError) as exc:
             assert str(path) in str(exc)
+
+
+@st.composite
+def mutated_algebra_docs(draw):
+    """A shipped algebra's document with one or two keys or rows dropped or
+    retyped, or its dim or an index set to another integer."""
+    doc = algebra_to_doc(predefined(draw(st.sampled_from(predefined_names()))))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = sorted(_paths(doc), key=repr)
+        kind = draw(st.sampled_from(["drop", "retype", "size"]))
+        if kind == "size":
+            paths = [p for p in paths if type(_at(doc, p)) is int] or paths
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(other_types)
+        else:
+            parent[key] = draw(file_ints)
+    return doc
+
+
+class TestAlgebraFileMutations:
+    @settings(max_examples=100)
+    @given(mutated_algebra_docs())
+    def test_every_refusal_names_the_file_and_every_load_round_trips(
+            self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("mutated") / "alg.json"
+        path.write_text(json.dumps(doc))
+        try:
+            alg = load_algebra(path)
+        except AlgebraError as exc:
+            assert str(path) in str(exc)
+            return
+        assert alg.name is None or isinstance(alg.name, str)
+        save_algebra(alg, path)
+        again = load_algebra(path)
+        assert again == alg and again.name == alg.name
+
+
+# What a refusal of each data argument must name. A shape the model cannot
+# take is named as the model's input, a target the loss refuses as targets.
+ARGUMENT_NAMES = {"x": r"\bx\b|\binput\b", "y": r"\by\b|\btargets\b",
+                  "validation": r"^validation\b", "epochs": r"^epochs\b",
+                  "batch_size": r"^batch_size\b"}
+
+# forms of a (rows, width) array: ragged, unreadable, complex, non-finite,
+# too few rows, other ranks and widths, off the 0/1 targets, and ones fit reads
+SPOILERS = {
+    "ragged": lambda a: [list(r) for r in a[:-1]] + [list(a[-1][:-1])],
+    "strings": lambda a: np.full(a.shape, "a"),
+    "objects": lambda a: np.full(a.shape, None, dtype=object),
+    "dicts": lambda a: [{"a": 1}] * len(a),
+    "complex": lambda a: a + 1j,
+    "nan": lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0, np.nan, a),
+    "inf": lambda a: np.full(a.shape, np.inf),
+    "no rows": lambda a: a[:0],
+    "fewer rows": lambda a: a[:-1],
+    "scalar": lambda a: 1.0,
+    "flat": lambda a: a.ravel(),
+    "3-d": lambda a: a[:, :, None],
+    "wider": lambda a: np.concatenate([a, a[:, :1]], axis=1),
+    "halves": lambda a: a * 0.5 + 0.25,
+    "list": lambda a: a.tolist(),
+    "bool": lambda a: a > 0.5,
+    "float32": lambda a: a.astype(np.float32),
+}
+COUNTS = [1, 2, np.int64(2), 10 ** 9, 0, -1, 2.5, "2", None, True, np.float64(2), [2]]
+
+
+@st.composite
+def data_calls(draw, arg):
+    """A fit call, or for x and y also an evaluate call, on small valid data
+    with argument arg spoiled."""
+    rows = draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (rows, 2), elements=st.floats(-2, 2)))
+    y = draw(arrays(np.int64, (rows, 1), elements=st.integers(0, 1))).astype(np.float64)
+    call = draw(st.sampled_from(["fit", "evaluate"])) if arg in ("x", "y") else "fit"
+    args = {"x": x, "y": y}
+    if call == "fit":
+        args.update(epochs=2, batch_size=None, validation=None)
+    spoil = lambda a: SPOILERS[draw(st.sampled_from(sorted(SPOILERS)))](a)  # noqa: E731
+    if arg in ("x", "y"):
+        args[arg] = spoil(args[arg])
+    elif arg == "validation":
+        args[arg] = draw(st.sampled_from([(x,), (x, y, y), "xy", [x, y],
+                                          (spoil(x), y), (x, spoil(y))]))
+    elif arg == "epochs":
+        args[arg] = draw(st.sampled_from(COUNTS[:3] + COUNTS[4:]))   # 10**9 epochs never end
+    else:
+        args[arg] = draw(st.sampled_from(COUNTS))
+    return call, args
+
+
+class TestDataArguments:
+    @pytest.mark.parametrize("arg", sorted(ARGUMENT_NAMES))
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_every_refusal_is_a_value_error_naming_the_argument(self, arg, data):
+        call, args = data.draw(data_calls(arg))
+        model = Sequential([HyperDense(1, algebra="complex"), Dense(1),
+                            Activation("sigmoid")], seed=0)
+        x, y = args.pop("x"), args.pop("y")
+        try:
+            if call == "fit":
+                fit(model, x, y, optimizer=Adam(), **args)
+            else:
+                evaluate(model, x, y)
+        except ValueError as exc:
+            assert re.search(ARGUMENT_NAMES[arg], str(exc)), str(exc)

@@ -478,3 +478,16 @@ class TestDeterminism:
             out1 = T.matmul(Tensor(a1), Tensor(b1)).data
             out2 = T.matmul(Tensor(a2), Tensor(b2)).data
             assert np.array_equal(out1, out2)
+
+
+class TestComplexRefused:
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    def test_complex_data_is_refused_not_cut_to_its_real_part(self, dtype):
+        with pytest.raises(ValueError, match="complex data is refused: an algebra element "
+                                             "is a row of real coordinates"):
+            Tensor(np.array([1 + 2j]), dtype=dtype)
+
+    def test_real_data_keeps_its_float_dtype(self):
+        assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
+        assert Tensor([1, 2]).data.dtype == np.float64
+        assert Tensor([1, 2], dtype=np.float32).data.dtype == np.float32

@@ -9,7 +9,7 @@ from khnn.cli import _xor_model
 from khnn.datasets import XOR_X, XOR_Y
 from khnn.layers import Activation, Dense, HyperDense
 from khnn.model import Sequential
-from khnn.tensor import Tensor
+from khnn.tensor import ShapeError, Tensor
 from khnn.training import (
     Adam,
     SGD,
@@ -296,8 +296,8 @@ class TestFit:
         def run():
             model = Sequential([HyperDense(2, algebra="complex"),
                                 Activation("tanh"), Dense(1),
-                                Activation("sigmoid")])
-            history = fit(model, x, y, epochs=20, optimizer=Adam(), seed=9)
+                                Activation("sigmoid")], seed=9)
+            history = fit(model, x, y, epochs=20, optimizer=Adam())
             return history, model.predict(x)
 
         h1, p1 = run()
@@ -484,3 +484,39 @@ class TestHistoryCsv:
         path = tmp_path / "history.csv"
         history.to_csv(path)
         assert path.read_text().splitlines()[1] == "1,0.333333333,0.666666667"
+
+
+class TestFitArguments:
+    def test_fit_takes_no_seed(self):
+        # the model carries the seed: Sequential(..., seed=9)
+        with pytest.raises(TypeError):
+            fit(linear_probe_model(), np.zeros((2, 1)), np.zeros((2, 1)),
+                epochs=1, optimizer=SGD(), seed=9)
+
+    @pytest.mark.parametrize("arg", ["x", "y"])
+    def test_complex_data_is_refused_naming_the_argument(self, arg):
+        data = {"x": np.zeros((2, 1)), "y": np.zeros((2, 1))}
+        data[arg] = data[arg] + 1j
+        model = linear_probe_model()
+        with pytest.raises(ValueError, match=f"^{arg}: complex data is refused"):
+            fit(model, data["x"], data["y"], epochs=1, optimizer=SGD())
+        with pytest.raises(ValueError, match=f"^{arg}: complex data is refused"):
+            evaluate(model, data["x"], data["y"])
+        assert not model.built
+
+    @pytest.mark.parametrize("x,cause", [([[1.0, 2.0], [3.0]], "inhomogeneous"),
+                                         ([["a"], ["b"]], "could not convert string"),
+                                         ([{"a": 1}, {"b": 2}], "float")],
+                             ids=["ragged", "strings", "objects"])
+    def test_unreadable_x_names_the_argument(self, x, cause):
+        with pytest.raises(ValueError, match=f"^x: .*{cause}"):
+            fit(linear_probe_model(), x, np.zeros((2, 1)), epochs=1, optimizer=SGD())
+
+    def test_validation_the_model_refuses_is_named(self):
+        x, y = np.zeros((2, 1)), np.zeros((2, 1))
+        with pytest.raises(ValueError, match="^validation: binary cross-entropy targets"):
+            fit(linear_probe_model(), x, y, epochs=1, optimizer=SGD(),
+                validation=(x, y + 0.5))
+        with pytest.raises(ShapeError, match="^validation: Dense built for input"):
+            fit(linear_probe_model(), x, y, epochs=1, optimizer=SGD(),
+                validation=(np.zeros((2, 3)), y))
