@@ -9,7 +9,9 @@ Tables are entered as a dictionary mapping an index pair (i, j) with
 i, j >= 1 to either a single (k, coeff) term or a list of such terms.
 Rows and columns touching e_0 are implied by the unit law and filled in
 automatically. Pairs that are not listed multiply to zero unless
-``strict`` is set. Entry maps and algebra files pass one term rule.
+``strict`` is set. Entry maps and algebra files pass one term rule, and
+every algebra, however it is made, one gate: a finite real (n, n, n)
+tensor and a name that is a string or None.
 """
 
 from __future__ import annotations
@@ -38,21 +40,31 @@ class StructureConstants:
     def __init__(self, entries=None, dim=None, name=None, strict=False):
         if entries is None and dim is None:
             raise AlgebraError("need an entry map, a dim, or both")
-        self._tensor = _tensor_from_rows(_entry_rows(entries or {}), dim, strict)
-        self._tensor.setflags(write=False)
-        self.name = name
+        self._set(_tensor_from_rows(_entry_rows(entries or {}), dim, strict), name)
 
     @classmethod
     def from_tensor(cls, tensor, name=None):
-        """Wrap a raw (n, n, n) tensor without entry-map validation."""
-        tensor = np.array(tensor, dtype=np.float64)
+        """Wrap a raw (n, n, n) tensor of finite reals without entry-map validation."""
+        out = cls.__new__(cls)
+        out._set(np.array(tensor), name)   # a copy: the caller's array may change
+        return out
+
+    def _set(self, tensor, name):
+        """Store tensor as read-only float64, and name. Every constructor ends
+        here, so every algebra is one that an algebra file can hold."""
+        tensor = np.asarray(tensor)
+        if tensor.dtype.kind not in "iuf":   # bool, string, object and complex are not
+            raise AlgebraError(f"structure tensor must hold real numbers, "
+                               f"got dtype {tensor.dtype}")
+        tensor = np.asarray(tensor, dtype=np.float64)
+        if not np.isfinite(tensor).all():
+            raise AlgebraError("structure tensor holds NaN or Inf")
         if tensor.ndim != 3 or len(set(tensor.shape)) != 1 or tensor.shape[0] < 1:
             raise AlgebraError(f"structure tensor must be (n, n, n), got {tensor.shape}")
-        out = cls.__new__(cls)
-        out._tensor = tensor
-        out._tensor.setflags(write=False)
-        out.name = name
-        return out
+        if name is not None and not isinstance(name, str):
+            raise AlgebraError(f"name must be a string or null, got {name!r}")
+        tensor.setflags(write=False)
+        self._tensor, self.name = tensor, name
 
     @property
     def dim(self):
@@ -383,14 +395,11 @@ def algebra_from_doc(doc, source="algebra document"):
     """
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise AlgebraError(f"{source} lacks 'dim'/'entries' keys")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise AlgebraError(f"{source}: name must be a string or null, got {name!r}")
     try:
         tensor = _tensor_from_rows(doc["entries"], doc["dim"])
+        return StructureConstants.from_tensor(tensor, name=doc.get("name"))
     except AlgebraError as exc:
         raise AlgebraError(f"{source}: {exc}") from exc
-    return StructureConstants.from_tensor(tensor, name=name)
 
 
 def save_algebra(algebra, path):

@@ -6,6 +6,8 @@ The whole layer is lowered to an ordinary real computation by expanding
 each weight element into its left-multiplication matrix: a HyperDense
 with u units over m input elements becomes an (m*n, u*n) matrix W, used
 as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
+A HyperConv has one forward: conv_nd, or with pooled=True, which Sequential
+sets for a conv followed by GlobalMaxPool, conv_global_max_pool.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -13,10 +15,11 @@ units over an n-dimensional algebra emits u*n real scalars.
 Each layer states its shapes once, in output_shape(in_shape), and a layer
 with weights their layout in param_shapes(in_shape) -> (weight shape, bias
 shape); both check the input. A model builds all its layers in one pass
-at its first forward, a lone layer from the first input it sees. A built
-layer then rejects input that would size other weights, naming itself.
-Only layers with weights take a seed and a dtype; one built without a
-generator draws from its seed, and a model spawns one for each other layer.
+at its first forward, a lone layer from the first input it sees, called or
+through forward. A built layer then rejects input that would size other
+weights, naming itself. Only layers with weights take a seed, None or an
+int >= 0, and a dtype; one built without a generator draws from its seed,
+and a model spawns one for each other layer.
 Weights draw from a uniform distribution with limit
 sqrt(6 / (fan_in + fan_out)), each fan being the lowered real kernel's
 receptive field (prod(kernel_size), 1 for dense layers) times its input
@@ -26,6 +29,7 @@ or output channels, as in Keras. Biases start at zero.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -47,6 +51,14 @@ def _resolve_algebra(algebra):
 def glorot_uniform(shape, fan_in, fan_out, rng):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _check_seed(seed):
+    """seed, which must be None or an int >= 0 (numpy ints too, bools not)."""
+    if seed is not None and not (isinstance(seed, numbers.Integral)
+                                 and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
+    return seed
 
 
 class Layer:
@@ -102,7 +114,8 @@ class Layer:
 
 
 class _Affine(Layer):
-    """A layer computing activation(self._linear(x) + bias).
+    """A layer computing activation(linear(x) + bias): a dense layer's
+    forward takes linear from self._linear, a conv states its own forward.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -110,7 +123,7 @@ class _Affine(Layer):
     kernel_size = ()   # spatial extent of the kernel; dense layers have none
 
     def __init__(self, activation, seed, dtype):
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ValueError(f"dtype must be float32 or float64, got {dtype}")
@@ -143,9 +156,12 @@ class _Affine(Layer):
         return in_shape[0]
 
     def _check_input(self, x):
-        """Reject x, naming the cause, unless it fits the layer and sizes the
+        """Build for x's shape if unbuilt, as calling the layer does. Else
+        reject x, naming the cause, unless it fits the layer and sizes the
         built weights (a conv's other spatial sizes do)."""
         shape = x.data.shape[1:]
+        if not self.built:
+            self.build(shape)
         if shape == self.in_shape:
             return
         try:
@@ -266,31 +282,27 @@ class _HyperConv(_Affine):
 
     def output_shape(self, in_shape):
         (width,) = self.param_shapes(in_shape)[1]
-        _, _, out_spatial = T._conv_geometry(
-            (1, *in_shape), (*self.kernel_size, in_shape[-1], width),
-            self.stride, self.padding)
+        _, _, out_spatial = T._conv_geometry(in_shape[:-1], self.kernel_size,
+                                             self.stride, self.padding)
         return (*out_spatial, width)
 
-    def _linear(self, x):
-        kernel = assemble_conv_kernel(self.weights, self.algebra)
-        return T.conv_nd(x, kernel, stride=self.stride, padding=self.padding)
+    def forward(self, x, pooled=False):
+        """The conv of x; with pooled, GlobalMaxPool().forward of it as one node.
 
-    def forward_pooled(self, x):
-        """GlobalMaxPool().forward(self.forward(x)), pooled before the bias.
-
-        One conv_global_max_pool node stands for conv_nd, add_bias and
-        global_max_pool, and the bias and activation act on (B, F) only.
+        pooled runs one conv_global_max_pool node for conv_nd, add_bias and
+        global_max_pool, pooling before the bias, so the bias and activation
+        act on (B, F) only. Sequential sets it for a conv followed by a pool.
         Pooling first keeps the values: rounding is monotone, so
         max(z + b) == max(z) + b, and tanh and sigmoid are non-decreasing.
         Only the gradient can move, at a tie: rounding in z + b or in the
         activation can make two entries equal that z tells apart. The
         layer-by-layer chain then routes the gradient to the first of
-        them, this path to the larger z.
+        them, the pooled path to the larger z.
         """
         self._check_input(x)
         kernel = assemble_conv_kernel(self.weights, self.algebra)
-        return self._finish(T.conv_global_max_pool(x, kernel, stride=self.stride,
-                                                   padding=self.padding))
+        conv = T.conv_global_max_pool if pooled else T.conv_nd
+        return self._finish(conv(x, kernel, stride=self.stride, padding=self.padding))
 
     def config(self):
         return {"filters": self.filters, "kernel_size": self.kernel_size,

@@ -61,14 +61,22 @@ class ModelSummary:
 
 
 class Sequential:
-    """Ordered stack of layers, all built in one pass at the first forward."""
+    """Ordered stack of layers, all built in one pass at the first forward.
+
+    Each entry must be a Layer, and seed None or an int >= 0. A hyper conv
+    directly followed by GlobalMaxPool runs as forward(x, pooled=True).
+    """
 
     def __init__(self, layers=None, seed=None):
-        self.layers = list(layers) if layers else []
-        self.seed = seed
+        self.layers = []
+        for layer in layers or []:
+            self.add(layer)
+        self.seed = L._check_seed(seed)
         self._seed_seq = None
 
     def add(self, layer):
+        if not isinstance(layer, L.Layer):
+            raise TypeError(f"layer {len(self.layers)} is not a Layer: {layer!r}")
         self.layers.append(layer)
 
     @property
@@ -94,14 +102,11 @@ class Sequential:
         layers, i = self.layers, 0
         while i < len(layers):
             layer = layers[i]
-            if (isinstance(layer, L._HyperConv) and i + 1 < len(layers)
-                    and isinstance(layers[i + 1], L.GlobalMaxPool)):
-                # conv then pool in one op, which never holds the conv output
-                x = layer.forward_pooled(x)
-                i += 2
-            else:
-                x = layer.forward(x)
-                i += 1
+            # conv then pool in one op, which never holds the conv output
+            pooled = (isinstance(layer, L._HyperConv) and i + 1 < len(layers)
+                      and isinstance(layers[i + 1], L.GlobalMaxPool))
+            x = layer.forward(x, pooled=True) if pooled else layer.forward(x)
+            i += 1 + pooled
         return x
 
     def _input_shapes(self, shape):

@@ -401,33 +401,21 @@ def _conv_options(stride, padding, d):
     return _per_axis("stride", stride, d), padding
 
 
-def _conv_geometry(x_shape, k_shape, stride, padding):
-    d = len(k_shape) - 2
-    if d not in (1, 2, 3):
-        raise ShapeError(f"conv kernel must have 1-3 spatial axes, got shape {k_shape}")
-    if len(x_shape) != d + 2:
-        raise ShapeError(f"conv input {x_shape} does not match kernel {k_shape}")
-    if x_shape[-1] != k_shape[-2]:
-        raise ShapeError(f"conv: input channels {x_shape[-1]} != kernel "
-                         f"in-channels {k_shape[-2]}")
-    spatial = x_shape[1:-1]
-    ksize = k_shape[:-2]
-    stride, padding = _conv_options(stride, padding, d)
+def _conv_geometry(spatial, ksize, stride, padding):
+    """(stride, pads, out) of a conv over spatial sizes with kernel ksize.
 
-    if padding == "valid":
-        pads = tuple((0, 0) for _ in range(d))
-        out = tuple((s - k) // st + 1 for s, k, st in zip(spatial, ksize, stride))
-    else:
-        out = tuple(-(-s // st) for s, st in zip(spatial, stride))
-        pads = []
-        for s, k, st, o in zip(spatial, ksize, stride, out):
-            total = max((o - 1) * st + k - s, 0)
-            pads.append((total // 2, total - total // 2))
-        pads = tuple(pads)
-
-    padded = tuple(s + lo + hi for s, (lo, hi) in zip(spatial, pads))
+    An axis of size S is padded by t in all, t // 2 before and the rest
+    after: t = 0 for 'valid' and max((ceil(S/st) - 1)*st + K - S, 0) for
+    'same'. Then out = (S + t - K)//st + 1, which is ceil(S/st) for 'same'.
+    """
+    stride, padding = _conv_options(stride, padding, len(ksize))
+    totals = [0 if padding == "valid" else max((-(-s // st) - 1) * st + k - s, 0)
+              for s, k, st in zip(spatial, ksize, stride)]
+    padded = tuple(s + t for s, t in zip(spatial, totals))
     if any(k > p for k, p in zip(ksize, padded)):
         raise ShapeError(f"kernel {ksize} larger than padded input {padded}")
+    pads = tuple((t // 2, t - t // 2) for t in totals)
+    out = tuple((p - k) // st + 1 for p, k, st in zip(padded, ksize, stride))
     return stride, pads, out
 
 
@@ -439,13 +427,20 @@ def _lowering(x, kernel, stride, padding):
     matrix, and inner the slices of xp's spatial axes that hold x itself.
     windows.reshape(-1, len(kmat)) is the im2col patch matrix.
     """
-    stride, pads, out_spatial = _conv_geometry(x.data.shape, kernel.data.shape,
-                                               stride, padding)
+    x_shape, k_shape = x.data.shape, kernel.data.shape
+    d = len(k_shape) - 2
+    if d not in (1, 2, 3):
+        raise ShapeError(f"conv kernel must have 1-3 spatial axes, got shape {k_shape}")
+    if len(x_shape) != d + 2:
+        raise ShapeError(f"conv input {x_shape} does not match kernel {k_shape}")
+    if x_shape[-1] != k_shape[-2]:
+        raise ShapeError(f"conv: input channels {x_shape[-1]} != kernel "
+                         f"in-channels {k_shape[-2]}")
+    ksize = k_shape[:-2]
+    stride, pads, out_spatial = _conv_geometry(x_shape[1:-1], ksize, stride, padding)
     xp = x.data
     if any(lo or hi for lo, hi in pads):
         xp = np.pad(x.data, ((0, 0), *pads, (0, 0)))
-    ksize = kernel.data.shape[:-2]
-    d = len(ksize)
     kmat = kernel.data.reshape(-1, kernel.data.shape[-1])
     win = np.lib.stride_tricks.sliding_window_view(xp, ksize, axis=tuple(range(1, d + 1)))
     # the view has one window per input position; keep every stride-th,
@@ -453,7 +448,7 @@ def _lowering(x, kernel, stride, padding):
     win = win[(slice(None), *(slice(0, (o - 1) * st + 1, st)
                               for o, st in zip(out_spatial, stride)))]
     windows = np.moveaxis(win, d + 1, -1)       # (B, O.., C, K..) -> (B, O.., K.., C)
-    inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, x.data.shape[1:-1]))
+    inner = tuple(slice(lo, lo + s) for (lo, _), s in zip(pads, x_shape[1:-1]))
     return xp, windows, kmat, stride, out_spatial, inner
 
 

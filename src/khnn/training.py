@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,9 +44,16 @@ def accuracy(pred, target):
     return float(((pred >= 0.5) == (target >= 0.5)).mean())
 
 
+def _real(name, value):
+    """value as a float; it must be a real number, and not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _positive(name, value):
     """value as a float, which must be finite and > 0."""
-    value = float(value)
+    value = _real(name, value)
     if not (np.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and > 0, got {value}")
     return value
@@ -53,7 +61,7 @@ def _positive(name, value):
 
 def _decay(name, value):
     """value as a float in [0, 1), the range of an Adam moment decay."""
-    value = float(value)
+    value = _real(name, value)
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
     return value
@@ -191,7 +199,9 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
     The loss/accuracy recorded for an epoch are measured on the forward
     passes of that epoch, before the following update is visible. An
     unbuilt model is built at the first step from its own seeds, so a
-    Sequential(..., seed=s) makes the whole run deterministic.
+    Sequential(..., seed=s) makes the whole run deterministic. validation
+    is evaluated at that first step too, before any update, so a set the
+    model or loss refuses fails, prefixed "validation: ", with no weight moved.
     """
     T._positive_int("epochs", epochs)
     if batch_size is not None:
@@ -222,8 +232,13 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(
                     f"loss became {float(loss.data)} at epoch {epoch + 1}")
-            if params is None:
+            if params is None:   # the first step: the model is built, no weight moved
                 params = model.params()
+                if validation is not None:
+                    try:
+                        evaluate(model, *validation, loss_fn=loss_fn)
+                    except ValueError as exc:   # a shape or target the model or loss refuses
+                        raise type(exc)(f"validation: {exc}") from exc
             loss.backward()
             optimizer.step(params)
             zero_grad(params)
@@ -232,10 +247,7 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
         history.loss.append(total / count)
         history.accuracy.append(accuracy(preds, y))
         if validation is not None:
-            try:
-                val_loss, val_acc = evaluate(model, *validation, loss_fn=loss_fn)
-            except ValueError as exc:   # a shape or target the model or loss refuses
-                raise type(exc)(f"validation: {exc}") from exc
+            val_loss, val_acc = evaluate(model, *validation, loss_fn=loss_fn)
             history.val_loss.append(val_loss)
             history.val_accuracy.append(val_acc)
         if verbose:

@@ -279,6 +279,44 @@ class TestCayleyDickson:
         assert alg == cayley_dickson(predefined("Complex"))
 
 
+class TestOneGate:
+    # values no algebra file can hold, each with the cause from_tensor names
+    BAD_VALUES = {
+        "nan": (float("nan"), "structure tensor holds NaN or Inf"),
+        "inf": (float("inf"), "structure tensor holds NaN or Inf"),
+        "str": ("1", "structure tensor must hold real numbers, got dtype <U1"),
+        "complex": (1 + 2j, "structure tensor must hold real numbers, got dtype complex128"),
+        "bool": (True, "structure tensor must hold real numbers, got dtype bool"),
+    }
+
+    @pytest.mark.parametrize("name", BAD_VALUES)
+    def test_both_constructors_refuse_a_value_no_file_holds(self, name):
+        value, cause = self.BAD_VALUES[name]
+        with pytest.raises(AlgebraError, match=f"^{re.escape(cause)}$"):
+            StructureConstants.from_tensor([[[value]]])
+        with pytest.raises(AlgebraError, match=r"^bad entry row \[1, 1, 0, "):
+            StructureConstants({(1, 1): (0, value)})
+
+    def test_from_tensor_refuses_an_object_array(self):
+        with pytest.raises(AlgebraError, match="^structure tensor must hold real "
+                                               "numbers, got dtype object$"):
+            StructureConstants.from_tensor(np.ones((1, 1, 1), dtype=object))
+
+    @pytest.mark.parametrize("name", [["x"], 3, True, b"x"])
+    def test_both_constructors_refuse_a_name_no_file_holds(self, name):
+        message = f"^{re.escape(f'name must be a string or null, got {name!r}')}$"
+        with pytest.raises(AlgebraError, match=message):
+            StructureConstants({(1, 1): (0, -1)}, name=name)
+        with pytest.raises(AlgebraError, match=message):
+            StructureConstants.from_tensor(predefined("complex").tensor, name=name)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.float16, np.float32])
+    def test_integer_and_float_tensors_become_float64(self, dtype):
+        tensor = predefined("complex").tensor
+        alg = StructureConstants.from_tensor(tensor.astype(dtype))
+        assert alg.tensor.dtype == np.float64 and alg == predefined("complex")
+
+
 class TestRegistry:
     def test_names(self):
         assert ALL_NAMES == ["Reals", "Complex", "Quaternions", "Klein4", "Cl20",

@@ -433,6 +433,50 @@ class TestInit:
         assert np.abs(layer.weights.data).max() <= limit
 
 
+class TestUnbuiltForward:
+    # a fresh seeded layer and an input shape it builds for
+    CASES = {
+        "hyper_dense": (lambda: HyperDense(2, algebra="complex", seed=1), (3, 4)),
+        "dense": (lambda: Dense(1, seed=2), (3, 5)),
+        "conv2d": (lambda: HyperConv2D(1, (2, 2), algebra="complex", seed=3),
+                   (2, 4, 5, 2)),
+    }
+
+    @pytest.mark.parametrize("name,pooled", [*((name, False) for name in sorted(CASES)),
+                                             ("conv2d", True)])
+    def test_forward_builds_as_calling_the_layer_does(self, name, pooled):
+        make, shape = self.CASES[name]
+        x = Tensor(np.random.default_rng(0).standard_normal(shape))
+        called, forwarded = make(), make()
+        called(x)
+        expected = called.forward(x, pooled=True) if pooled else called.forward(x)
+        got = forwarded.forward(x, pooled=True) if pooled else forwarded.forward(x)
+        assert forwarded.built and forwarded.in_shape == called.in_shape
+        for a, b in zip(forwarded.params(), called.params()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got.data.tobytes() == expected.data.tobytes()
+
+
+class TestSeedRule:
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, True, np.bool_(True), [1]],
+                             ids=["str", "negative", "float", "bool", "numpy-bool", "list"])
+    @pytest.mark.parametrize("make", [lambda seed: Dense(1, seed=seed),
+                                      lambda seed: HyperDense(1, seed=seed),
+                                      lambda seed: HyperConv1D(1, 2, seed=seed)],
+                             ids=["dense", "hyper_dense", "conv1d"])
+    def test_bad_seed_is_refused_at_construction(self, make, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be None or an int >= 0, got {seed!r}")):
+            make(seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint8(7)])
+    def test_int_seeds_draw_as_their_value(self, seed):
+        layer, same = Dense(2, seed=seed), Dense(2, seed=int(seed))
+        layer.build((3,))
+        same.build((3,))
+        npt.assert_array_equal(layer.weights.data, same.weights.data)
+
+
 class TestParameterCounts:
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_dense_weight_ratio_is_dim(self, name):

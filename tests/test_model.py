@@ -567,3 +567,44 @@ class TestOnlyWeightedLayersTakeSeeds:
         in_model = HyperDense(2, algebra="complex", seed=4)
         Sequential([in_model], seed=99).predict(np.zeros((1, 4)))
         npt.assert_array_equal(alone.weights.data, in_model.weights.data)
+
+
+class TestConstructionChecks:
+    @pytest.mark.parametrize("seed", ["a", -1, 1.5, True], ids=["str", "negative",
+                                                                "float", "bool"])
+    def test_bad_model_seed_is_refused_at_construction(self, seed):
+        with pytest.raises(ValueError, match=re.escape(
+                f"seed must be None or an int >= 0, got {seed!r}")):
+            Sequential([Dense(1)], seed=seed)
+
+    def test_numpy_int_model_seed_builds_as_its_value(self):
+        a, b = xor_model(seed=np.int64(3)), xor_model(seed=3)
+        npt.assert_array_equal(a.predict(XOR_X), b.predict(XOR_X))
+
+    def test_a_layer_list_entry_that_is_not_a_layer_is_named(self):
+        with pytest.raises(TypeError, match=r"^layer 1 is not a Layer: 'relu'$"):
+            Sequential([Dense(1), "relu"])
+
+    def test_add_refuses_what_is_not_a_layer(self):
+        model = Sequential([Dense(1)])
+        with pytest.raises(TypeError, match=r"^layer 1 is not a Layer: 'relu'$"):
+            model.add("relu")
+        assert len(model.layers) == 1
+
+
+class TestPooledForward:
+    def test_model_runs_a_conv_before_a_pool_as_its_pooled_forward(self, monkeypatch):
+        calls = []
+        forward = L._HyperConv.forward
+
+        def spy(self, x, pooled=False):
+            calls.append(pooled)
+            return forward(self, x, pooled=pooled)
+
+        monkeypatch.setattr(L._HyperConv, "forward", spy)
+        model = Sequential([HyperConv2D(1, (2, 2)), Activation("tanh"), GlobalMaxPool()],
+                           seed=1)
+        model.predict(np.ones((1, 3, 3, 4)))
+        model = Sequential([HyperConv2D(1, (2, 2)), GlobalMaxPool()], seed=1)
+        model.predict(np.ones((1, 3, 3, 4)))
+        assert calls == [False, True]

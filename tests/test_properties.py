@@ -437,6 +437,25 @@ class TestAlgebraFileProperties:
         npt.assert_array_equal(loaded.tensor, tensor)
         assert loaded.name == "drawn"
 
+    @settings(max_examples=100)
+    @given(st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int8,
+                            np.uint32, np.bool_, np.complex128]).flatmap(
+               lambda dtype: arrays(dtype, st.sampled_from([(1, 1, 1), (2, 2, 2), (2, 2, 3),
+                                                            (4,)]))),
+           st.none() | st.text(max_size=4) | st.integers() | st.lists(st.text(), max_size=1))
+    def test_every_algebra_from_tensor_accepts_round_trips(self, tmp_path_factory,
+                                                           tensor, name):
+        try:
+            alg = StructureConstants.from_tensor(tensor, name=name)
+        except AlgebraError:
+            return
+        assert tensor.dtype.kind in "iuf" and np.isfinite(tensor).all()
+        assert name is None or isinstance(name, str)
+        path = tmp_path_factory.mktemp("alg") / "alg.json"
+        save_algebra(alg, path)
+        loaded = load_algebra(path)
+        assert loaded == alg and loaded.name == name
+
 
 # scalars of every kind a hand-written entry map might hold
 odd_scalars = st.one_of(

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import numpy as np
 import numpy.testing as npt
@@ -206,6 +207,26 @@ class TestConv:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
             T.conv_nd(Tensor(np.ones((1, 4, 2))), Tensor(np.ones((3, 3, 1))))
+
+    @staticmethod
+    def two_branch_geometry(s, k, st, padding):
+        """The per-padding rule conv_nd used before its one formula."""
+        if padding == "valid":
+            return (0, 0), (s - k) // st + 1, s
+        out = -(-s // st)
+        total = max((out - 1) * st + k - s, 0)
+        return (total // 2, total - total // 2), out, s + total
+
+    def test_one_geometry_formula_equals_the_two_branch_rule(self):
+        for s, k, st, padding in itertools.product(range(0, 10), range(1, 5), range(1, 4),
+                                                   ("valid", "same")):
+            pads, out, padded = self.two_branch_geometry(s, k, st, padding)
+            if k > padded:
+                with pytest.raises(ShapeError, match=rf"^kernel \({k},\) larger than "
+                                                     rf"padded input \({padded},\)$"):
+                    T._conv_geometry((s,), (k,), st, padding)
+            else:
+                assert T._conv_geometry((s,), (k,), st, padding) == ((st,), (pads,), (out,))
 
     def test_gradients_both_operands(self):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -153,6 +154,19 @@ class TestOptimizers:
     def test_adam_decays_lie_in_unit_interval(self, name, value):
         with pytest.raises(ValueError, match=name):
             Adam(**{name: value})
+
+    @pytest.mark.parametrize("opt,name", [("SGD", "lr"), ("Adam", "lr"), ("Adam", "eps"),
+                                          ("Adam", "beta1"), ("Adam", "beta2")])
+    @pytest.mark.parametrize("value", ["0.1", True, False, np.bool_(True), None],
+                             ids=["str", "true", "false", "numpy-bool", "none"])
+    def test_optimizer_numbers_must_be_real(self, opt, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a real number, got {value!r}")):
+            {"SGD": SGD, "Adam": Adam}[opt](**{name: value})
+
+    def test_numpy_reals_are_accepted(self):
+        opt = Adam(lr=np.float32(0.5), beta1=np.float64(0.5), eps=np.int64(1))
+        assert (opt.lr, opt.beta1, opt.eps) == (0.5, 0.5, 1.0)
 
     @staticmethod
     def reference_adam(params, grads_per_step, lr=0.01, beta1=0.9, beta2=0.999,
@@ -520,3 +534,16 @@ class TestFitArguments:
         with pytest.raises(ShapeError, match="^validation: Dense built for input"):
             fit(linear_probe_model(), x, y, epochs=1, optimizer=SGD(),
                 validation=(np.zeros((2, 3)), y))
+
+    @pytest.mark.parametrize("validation", ["targets", "width"])
+    def test_a_refused_validation_set_moves_no_weight(self, validation):
+        x, y = np.ones((2, 1)), np.array([[0.0], [1.0]])
+        val = (x, y + 0.5) if validation == "targets" else (np.zeros((2, 3)), y)
+        model = linear_probe_model(seed=3)
+        model.predict(x)
+        before = [p.data.copy() for p in model.params()]
+        with pytest.raises(ValueError, match="^validation: "):
+            fit(model, x, y, epochs=3, optimizer=SGD(lr=0.5), validation=val)
+        for p, b in zip(model.params(), before):
+            npt.assert_array_equal(p.data, b)
+            assert p.grad is None or not p.grad.any()
