@@ -11,19 +11,22 @@ Rows and columns touching e_0 are implied by the unit law and filled in
 automatically. Pairs that are not listed multiply to zero unless
 ``strict`` is set. Entry maps and algebra files pass one term rule, and
 every algebra, however it is made, one gate: a finite real (n, n, n)
-tensor and a name that is a string or None.
+tensor and a name that is a string or None. Indices and coefficients
+follow the argument rules in tensor.py (_is_int, _is_real), the ones
+every module uses, so a coefficient numpy can only hold as an object,
+such as 2**70 or a Fraction, is refused in every spelling of a table.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
 import numpy as np
 
 from .tensor import _coerce as _real_array
+from .tensor import _is_int, _is_real
 
 
 class AlgebraError(ValueError):
@@ -103,6 +106,9 @@ class StructureConstants:
         return entries
 
     def basis(self, i):
+        """e_i, for an int i in [0, dim); a bool or a float is not an index."""
+        if not _is_int(i):
+            raise AlgebraError(f"basis index must be an int, got {i!r}")
         if not 0 <= i < self.dim:
             raise AlgebraError(f"basis index {i} out of range [0, {self.dim})")
         e = np.zeros(self.dim)
@@ -154,7 +160,7 @@ def _tensor_from_rows(rows, dim, strict=False):
         raise AlgebraError(f"entries must be a list, got {rows!r}")
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4 and all(map(_is_int, row[:3]))
-                and _is_number(row[3])):
+                and _is_real(row[3]) and np.isfinite(row[3])):
             raise AlgebraError(f"bad entry row {row!r} "
                                "(want [i, j, k, coeff], ints and a finite number)")
     if dim is None:
@@ -192,19 +198,6 @@ def _unit_law(dim):
     idx = np.arange(dim)
     A[0, idx, idx] = A[idx, 0, idx] = 1.0
     return A
-
-
-def _is_int(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_number(value):
-    if not (_is_int(value) or isinstance(value, (float, np.floating))):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        return False
 
 
 def from_entries(entries, dim=None, name=None, strict=False):

@@ -29,7 +29,6 @@ or output channels, as in Keras. Biases start at zero.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -55,10 +54,18 @@ def glorot_uniform(shape, fan_in, fan_out, rng):
 
 def _check_seed(seed):
     """seed, which must be None or an int >= 0 (numpy ints too, bools not)."""
-    if seed is not None and not (isinstance(seed, numbers.Integral)
-                                 and not isinstance(seed, bool) and seed >= 0):
+    if seed is not None and not (T._is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
     return seed
+
+
+def _check_activation(name, allow_none=False):
+    """name, which must name an activation, or be None where allow_none."""
+    known = isinstance(name, str) and name in _ACTIVATIONS
+    if not (known or (name is None and allow_none)):
+        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
+                         + (" or None" if allow_none else ""))
+    return name
 
 
 class Layer:
@@ -124,13 +131,8 @@ class _Affine(Layer):
 
     def __init__(self, activation, seed, dtype):
         self.seed = _check_seed(seed)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.float32, np.float64):
-            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-        if activation is not None and activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; "
-                             f"choose from {sorted(_ACTIVATIONS)} or None")
-        self.activation = activation
+        self.dtype = T._float_dtype(dtype)
+        self.activation = _check_activation(activation, allow_none=True)
         self.weights = None
         self.bias = None
 
@@ -356,10 +358,7 @@ class Activation(Layer):
     file_tag = "activation"
 
     def __init__(self, activation):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}; "
-                             f"choose from {sorted(_ACTIVATIONS)}")
-        self.activation = activation
+        self.activation = _check_activation(activation)
 
     def forward(self, x):
         return _ACTIVATIONS[self.activation](x)

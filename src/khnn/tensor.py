@@ -51,7 +51,12 @@ def no_grad():
 
 
 def _coerce(data, dtype=None):
+    """data as a float array: float32 and float64 kept, other reals made
+    float64, or made dtype, which must be float32 or float64, if given.
+    Complex data is refused."""
     arr = np.asarray(data)
+    if dtype is not None:
+        dtype = _float_dtype(dtype)
     if arr.dtype not in (np.float32, np.float64) or dtype is not None:
         if arr.dtype.kind == "c":
             raise ValueError("complex data is refused: an algebra element is a row of real "
@@ -175,9 +180,36 @@ def _result(data, parents, backward):
     return out
 
 
+# ---------------------------------------------------------------------------
+# argument rules, each stated once for every module
+
+def _is_int(value):
+    """True for an int of any size, numpy ints included, and not a bool."""
+    # int first: the common case skips the slower abstract-class check
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """True for one real number: a 0-d value that numpy stores as an int, uint
+    or float. So bools, strings, None, Fractions and ints beyond 64 bits are not."""
+    try:
+        value = np.asarray(value)
+    except ValueError:   # a ragged sequence
+        return False
+    return value.ndim == 0 and value.dtype.kind in "iuf"
+
+
+def _float_dtype(dtype):
+    """dtype as a numpy dtype, which must be float32 or float64."""
+    out = np.dtype(dtype)
+    if out not in (np.float32, np.float64):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+    return out
+
+
 def _positive_int(name, value):
     """value as an int; it must be a positive int, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive int, got {value!r}")
     return int(value)
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .algebra import write_atomic
-from .tensor import Tensor, no_grad, zero_grad
+from .tensor import ShapeError, Tensor, no_grad, zero_grad
 
 BCE_CLAMP = 1e-7  # predictions are clamped to [eps, 1 - eps] before the logs
 
@@ -36,17 +35,20 @@ def bce_loss(pred, target):
 def accuracy(pred, target):
     """Fraction of thresholded predictions matching binary targets.
 
-    The threshold is inclusive: a prediction of exactly 0.5 counts as
-    class 1.
+    pred and target must have the same shape; nothing broadcasts. The
+    threshold is inclusive: a prediction of exactly 0.5 counts as class 1.
     """
     pred = _as_array(pred)
     target = _as_array(target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"accuracy: pred shape {pred.shape} and target shape "
+                         f"{target.shape} differ")
     return float(((pred >= 0.5) == (target >= 0.5)).mean())
 
 
 def _real(name, value):
-    """value as a float; it must be a real number, and not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """value as a float; it must pass tensor._is_real, as a table coefficient does."""
+    if not T._is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -199,9 +201,10 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
     The loss/accuracy recorded for an epoch are measured on the forward
     passes of that epoch, before the following update is visible. An
     unbuilt model is built at the first step from its own seeds, so a
-    Sequential(..., seed=s) makes the whole run deterministic. validation
-    is evaluated at that first step too, before any update, so a set the
-    model or loss refuses fails, prefixed "validation: ", with no weight moved.
+    Sequential(..., seed=s) makes the whole run deterministic. validation,
+    an (x, y) pair, is checked in one place: it is evaluated at that first
+    step too, before any update, so bad data, or a set the model or loss
+    refuses, fails, prefixed "validation: ", with no weight moved.
     """
     T._positive_int("epochs", epochs)
     if batch_size is not None:
@@ -212,10 +215,6 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
             size = f" of {len(validation)}" if isinstance(validation, (tuple, list)) else ""
             raise ValueError(f"validation must be an (x, y) pair, got a "
                              f"{type(validation).__name__}{size}")
-        try:
-            validation = _check_data(*validation)
-        except ValueError as exc:
-            raise ValueError(f"validation: {exc}") from exc
     count = x.shape[0]
     step = batch_size or count
     bounds = [(i, min(i + step, count)) for i in range(0, count, step)]

@@ -9,6 +9,7 @@ import pytest
 from khnn.algebra import (
     AlgebraError,
     StructureConstants,
+    algebra_from_doc,
     algebra_to_doc,
     cayley_dickson,
     check_alternative,
@@ -501,3 +502,60 @@ class TestFieldTypes:
         path = tmp_path / "alg.json"
         path.write_text(json.dumps(doc))
         assert load_algebra(path).name == name
+
+
+class TestEntryShapes:
+    @pytest.mark.parametrize("key", [1, (1,), (1, 1, 1), "11", frozenset({1})], ids=repr)
+    def test_entry_key_that_is_no_index_pair_is_refused(self, key):
+        message = f"^{re.escape(f'entry key {key!r} is not an index pair')}$"
+        with pytest.raises(AlgebraError, match=message):
+            StructureConstants({key: (0, -1)}, dim=2)
+
+    @pytest.mark.parametrize("term", [(0,), (0, -1, 2), 5, "0-1", None], ids=repr)
+    def test_term_that_is_no_k_coeff_pair_is_refused(self, term):
+        message = f"^{re.escape(f'entry (1, 1): term {term!r} is not (k, coeff)')}$"
+        with pytest.raises(AlgebraError, match=message):
+            StructureConstants({(1, 1): [(0, -1), term]}, dim=2)
+
+
+class TestEqualityAndRepr:
+    def test_an_algebra_never_equals_a_non_algebra(self):
+        complex_ = predefined("complex")
+        assert complex_.__eq__(complex_.tensor) is NotImplemented
+        assert complex_ != "Complex" and complex_ != 2 and complex_ not in [None]
+
+    def test_repr_names_the_algebra_and_its_dim(self):
+        assert repr(predefined("complex")) == "StructureConstants('Complex', dim=2)"
+        unnamed = StructureConstants.from_tensor(predefined("klein4").tensor)
+        assert repr(unnamed) == "StructureConstants('?', dim=4)"
+
+
+class TestBasisIndex:
+    @pytest.mark.parametrize("index", [True, np.bool_(False), 1.5, 1.0, "1", None,
+                                       np.array(1)], ids=repr)
+    def test_an_index_that_is_no_int_is_refused(self, index):
+        # numpy would read True as a mask and 1.5 as an IndexError
+        message = f"^{re.escape(f'basis index must be an int, got {index!r}')}$"
+        with pytest.raises(AlgebraError, match=message):
+            predefined("complex").basis(index)
+
+    @pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1)])
+    def test_numpy_ints_are_indices(self, index):
+        npt.assert_array_equal(predefined("complex").basis(index), [0.0, 1.0])
+
+    @pytest.mark.parametrize("index", [-1, 2, 2**70])
+    def test_an_int_outside_the_dim_is_out_of_range(self, index):
+        with pytest.raises(AlgebraError, match=f"^basis index {index} out of range"):
+            predefined("complex").basis(index)
+
+
+class TestOneCoefficientRule:
+    # what the three spellings refuse together is checked by TestOneRealRule
+    # in tests/test_properties.py
+    @pytest.mark.parametrize("value", [2**63, -2**63, np.uint64(2**64 - 1)], ids=repr)
+    def test_every_spelling_takes_a_64_bit_int_as_the_same_float(self, value):
+        entry_map = StructureConstants({(1, 1): (0, value)}, dim=2)
+        row = algebra_from_doc({"dim": 1, "entries": [[0, 0, 0, value]]})
+        tensor = StructureConstants.from_tensor([[[value]]])
+        assert entry_map.tensor[1, 1, 0] == float(value)
+        assert row.tensor[0, 0, 0] == tensor.tensor[0, 0, 0] == float(value)

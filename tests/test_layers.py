@@ -567,3 +567,28 @@ class TestFloat32:
         got = f32.weights.grad.astype(np.float64)
         denom = np.maximum(np.abs(ref), 1e-8)
         assert (np.abs(got - ref) / denom).max() < 1e-4
+
+
+class TestActivationRule:
+    CHOICES = r"choose from \['sigmoid', 'tanh'\]"
+
+    @pytest.mark.parametrize("name", [[], {}, ("tanh",), 1, b"tanh", "relu"], ids=repr)
+    @pytest.mark.parametrize("make", [lambda a: Dense(1, activation=a),
+                                      lambda a: HyperDense(1, activation=a),
+                                      lambda a: HyperConv2D(1, 3, activation=a)],
+                             ids=["Dense", "HyperDense", "HyperConv2D"])
+    def test_affine_layers_refuse_a_name_that_is_no_activation(self, make, name):
+        message = f"^unknown activation {re.escape(repr(name))}; {self.CHOICES} or None$"
+        with pytest.raises(ValueError, match=message):
+            make(name)
+
+    @pytest.mark.parametrize("name", [[], {}, ("tanh",), 1, b"tanh", "relu", None],
+                             ids=repr)
+    def test_activation_layer_refuses_a_name_that_is_no_activation(self, name):
+        message = f"^unknown activation {re.escape(repr(name))}; {self.CHOICES}$"
+        with pytest.raises(ValueError, match=message):
+            Activation(name)
+
+    def test_affine_layers_take_none(self):
+        assert Dense(1).activation is None
+        assert HyperDense(1, activation=None).activation is None

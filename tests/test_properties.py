@@ -7,6 +7,7 @@ every run checks the same cases.
 import copy
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.extra.numpy import arrays  # noqa: E402
+from hypothesis.extra.numpy import arrays, from_dtype  # noqa: E402
 
 from khnn import tensor as T  # noqa: E402
 from khnn.algebra import (AlgebraError, StructureConstants, algebra_from_doc,  # noqa: E402
@@ -694,3 +695,63 @@ class TestDataArguments:
                 evaluate(model, x, y)
         except ValueError as exc:
             assert re.search(ARGUMENT_NAMES[arg], str(exc)), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# One real-number rule: table coefficients in every spelling, and optimizer
+# numbers, accept the same scalars.
+
+JSON_SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64, 2**70, -2**70]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+NUMPY_DTYPES = [np.dtype(t) for t in ("int8", "int64", "uint8", "uint64",
+                                      "float16", "float32", "float64", "bool")]
+NUMPY_SCALARS = st.sampled_from(NUMPY_DTYPES).flatmap(
+    lambda dt: st.one_of(from_dtype(dt).map(dt.type), arrays(dt, ())))
+SCALARS = st.one_of(JSON_SCALARS, NUMPY_SCALARS, st.fractions())
+
+
+def accepts(make, error):
+    """True if make() returns, False if it raises error; anything else fails."""
+    try:
+        make()
+    except error:
+        return False
+    return True
+
+
+EDGE_SCALARS = [True, np.bool_(True), 2**63, -2**63, -2**63 - 1, 2**64, 2**70, float("nan"),
+                float("inf"), np.float16(2), np.uint64(2**64 - 1), np.array(1.5), "1", None,
+                Fraction(1, 10)]
+
+
+class TestOneRealRule:
+    @staticmethod
+    def check(v):
+        spellings = [lambda: StructureConstants({(1, 1): (0, v)}, dim=2),
+                     lambda: StructureConstants.from_tensor([[[v]]])]
+        if v is None or isinstance(v, (bool, int, float, str)):   # values JSON holds
+            doc = {"dim": 1, "entries": [[0, 0, 0, v]]}
+            spellings.append(lambda: algebra_from_doc(doc))
+        verdicts = {accepts(make, AlgebraError) for make in spellings}
+        assert len(verdicts) == 1, v
+        adam = accepts(lambda: Adam(lr=v), ValueError)
+        if verdicts == {True}:
+            assert adam == bool(v > 0), v
+        else:
+            assert not adam, v
+
+    @settings(max_examples=300)
+    @given(SCALARS)
+    def test_every_table_spelling_and_adam_agree(self, v):
+        self.check(v)
+
+    @pytest.mark.parametrize("v", EDGE_SCALARS, ids=repr)
+    def test_every_table_spelling_and_adam_agree_on_edges(self, v):
+        self.check(v)

@@ -1,11 +1,13 @@
 import inspect
 import itertools
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from khnn import tensor as T
+from khnn.layers import HyperDense
 from khnn.tensor import ShapeError, Tensor
 
 from conftest import naive_conv_nd
@@ -512,3 +514,90 @@ class TestComplexRefused:
         assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
         assert Tensor([1, 2]).data.dtype == np.float64
         assert Tensor([1, 2], dtype=np.float32).data.dtype == np.float32
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("value", [0, -3, 2**70, np.int8(1), np.uint64(2**63)],
+                             ids=repr)
+    def test_is_int_takes_ints_of_any_size(self, value):
+        assert T._is_int(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 1.0, "1", None, np.array(1)],
+                             ids=repr)
+    def test_is_int_refuses_bools_floats_and_arrays(self, value):
+        assert not T._is_int(value)
+
+    @pytest.mark.parametrize("value", [0, -2**63, 2**63, 1.5, float("nan"), np.uint8(3),
+                                       np.float16(2), np.array(0.5)], ids=repr)
+    def test_is_real_takes_what_numpy_stores_as_int_uint_or_float(self, value):
+        assert T._is_real(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, 2**64, -2**63 - 1,
+                                       2**70, 1 + 2j, np.ones(1), [1.0], [[1], [1, 2]]],
+                             ids=repr)
+    def test_is_real_refuses_everything_else(self, value):
+        assert not T._is_real(value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, "float64", np.dtype("<f4"), float])
+    def test_float_dtype_takes_float32_and_float64(self, dtype):
+        assert T._float_dtype(dtype) in (np.float32, np.float64)
+
+    @pytest.mark.parametrize("dtype", [complex, np.int64, bool, np.float16, "U3"],
+                             ids=["complex", "int64", "bool", "float16", "U3"])
+    def test_tensor_dtype_must_be_float32_or_float64(self, dtype):
+        # the layers' dtype rule: a tensor no layer would hold is refused up front
+        message = f"^{re.escape(f'dtype must be float32 or float64, got {dtype}')}$"
+        with pytest.raises(ValueError, match=message):
+            Tensor([1.0], dtype=dtype)
+        with pytest.raises(ValueError, match=message):
+            HyperDense(1, dtype=dtype)
+
+
+class TestConveniences:
+    def test_shape_size_and_repr(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        assert (x.shape, x.size) == ((2, 3), 6)
+        assert repr(x) == "Tensor(shape=(2, 3), requires_grad=True)"
+        assert repr(Tensor(1.0)) == "Tensor(shape=(), requires_grad=False)"
+
+    # each convenience against the op it stands for
+    CASES = {
+        "mul": (lambda a, b: a * b, lambda a, b: T.mul(a, b)),
+        "rmul": (lambda a, b: 2.5 * a, lambda a, b: T.mul(a, 2.5)),
+        "neg": (lambda a, b: -a, lambda a, b: T.neg(a)),
+        "sub": (lambda a, b: a - b, lambda a, b: T.add(a, T.neg(b))),
+        "sub-scalar": (lambda a, b: a - 1.5, lambda a, b: T.add(a, -1.5)),
+        "rsub-scalar": (lambda a, b: 1.5 - a, lambda a, b: T.add(T.neg(a), 1.5)),
+        "reshape": (lambda a, b: a.reshape(3, 2), lambda a, b: T.reshape(a, 3, 2)),
+        "reshape-tuple": (lambda a, b: a.reshape((6,)), lambda a, b: T.reshape(a, (6,))),
+        "sum": (lambda a, b: a.sum(), lambda a, b: T.tensor_sum(a)),
+        "sum-axis": (lambda a, b: a.sum(axis=0), lambda a, b: T.tensor_sum(a, axis=0)),
+        "mean": (lambda a, b: a.mean(), lambda a, b: T.mean(a)),
+        "mean-axis": (lambda a, b: a.mean(axis=1), lambda a, b: T.mean(a, axis=1)),
+    }
+
+    @staticmethod
+    def run(f, dtype):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=dtype)
+        b = Tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=dtype)
+        out = f(a, b)
+        weight = Tensor(rng.standard_normal(out.shape), dtype=dtype)
+        T.tensor_sum(T.mul(out, weight)).backward()
+        return out.data, a.grad, b.grad
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_its_op_bit_for_bit_in_value_and_gradient(self, name, dtype):
+        sugar, op = self.CASES[name]
+        for got, want in zip(self.run(sugar, dtype), self.run(op, dtype)):
+            if want is None:   # b takes no part
+                assert got is None
+                continue
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_flatten_needs_a_batch_axis(self):
+        with pytest.raises(ShapeError,
+                           match=r"^flatten needs a batch axis, got shape \(3,\)$"):
+            T.flatten(Tensor(np.zeros(3)))

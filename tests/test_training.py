@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -547,3 +548,51 @@ class TestFitArguments:
         for p, b in zip(model.params(), before):
             npt.assert_array_equal(p.data, b)
             assert p.grad is None or not p.grad.any()
+
+
+class TestOneRealRuleForOptimizers:
+    @pytest.mark.parametrize("opt,name", [("SGD", "lr"), ("Adam", "lr"), ("Adam", "eps"),
+                                          ("Adam", "beta1")])
+    @pytest.mark.parametrize("value", [Fraction(1, 10), 2**64, 2**70, np.array([0.1])],
+                             ids=repr)
+    def test_a_number_no_table_coefficient_may_be_is_refused(self, opt, name, value):
+        # the same Fraction or beyond-64-bit int is refused as a table coefficient
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a real number, got {value!r}")):
+            {"SGD": SGD, "Adam": Adam}[opt](**{name: value})
+
+    def test_zero_d_arrays_and_64_bit_ints_are_accepted(self):
+        opt = Adam(lr=np.array(0.5), beta1=np.array(0), eps=2**63)
+        assert (opt.lr, opt.beta1, opt.eps) == (0.5, 0.0, float(2**63))
+
+
+class TestAccuracyShapes:
+    @pytest.mark.parametrize("pred_shape,target_shape", [
+        ((2, 1), (2,)), ((2,), (2, 1)), ((2, 1), (1, 2)), ((3, 1), (2, 1))])
+    def test_shapes_must_match(self, pred_shape, target_shape):
+        message = (f"^accuracy: pred shape {re.escape(str(pred_shape))} and target shape "
+                   f"{re.escape(str(target_shape))} differ$")
+        with pytest.raises(ShapeError, match=message):
+            accuracy(np.full(pred_shape, 0.9), np.ones(target_shape))
+
+    def test_a_tensor_prediction_is_read_by_its_data(self):
+        assert accuracy(Tensor([[0.9], [0.1]]), np.array([[1.0], [1.0]])) == 0.5
+
+
+class TestValidationDataChecks:
+    @pytest.mark.parametrize("validation", ["nan", "rows", "complex", "ragged"])
+    def test_bad_validation_data_is_named_and_moves_no_weight(self, validation):
+        x, y = np.ones((2, 1)), np.array([[0.0], [1.0]])
+        val, cause = {
+            "nan": ((np.array([[np.nan], [1.0]]), y), "x contains NaN or Inf"),
+            "rows": ((np.ones((3, 1)), y), "x has 3 rows but y has 2"),
+            "complex": ((x, y + 0j), "y: complex data is refused"),
+            "ragged": (([[1.0], [1.0, 2.0]], y), "x: .*inhomogeneous"),
+        }[validation]
+        model = linear_probe_model(seed=4)
+        model.predict(x)
+        before = [p.data.copy() for p in model.params()]
+        with pytest.raises(ValueError, match=f"^validation: {cause}"):
+            fit(model, x, y, epochs=3, optimizer=SGD(lr=0.5), validation=val)
+        for p, b in zip(model.params(), before):
+            npt.assert_array_equal(p.data, b)
