@@ -51,9 +51,10 @@ def no_grad():
 
 
 def _coerce(data, dtype=None):
-    """data as a float array: float32 and float64 kept, other reals made
-    float64, or made dtype, which must be float32 or float64, if given.
-    Complex data is refused."""
+    """data as a float array: float32 and float64 kept, other reals and
+    bools made float64, or made dtype, which must be float32 or float64, if
+    given. Complex data, strings and objects (``'1.5'``, ``2**70``) are
+    refused."""
     arr = np.asarray(data)
     if dtype is not None:
         dtype = _float_dtype(dtype)
@@ -61,7 +62,11 @@ def _coerce(data, dtype=None):
         if arr.dtype.kind == "c":
             raise ValueError("complex data is refused: an algebra element is a row of real "
                              "coordinates, so a complex number is 2 wide over 'complex'")
-        arr = arr.astype(np.float64 if dtype is None else dtype, copy=False)
+        out = arr.astype(np.float64 if dtype is None else dtype, copy=False)
+        # after the cast, so that numpy's own message names what it cannot read
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"data must hold real numbers, got dtype {arr.dtype}")
+        arr = out
     return arr
 
 
@@ -365,7 +370,8 @@ def global_max_pool(x):
     b, c = x.data.shape[0], x.data.shape[-1]
     flat = x.data.reshape(b, -1, c)
     # one pass: the max is read off at the argmax the backward needs
-    out, idx = _max_at(flat)
+    idx = flat.argmax(axis=1)
+    out = np.take_along_axis(flat, idx[:, None], axis=1)[:, 0]
 
     def backward(g):
         dx = np.zeros_like(flat)
@@ -484,12 +490,6 @@ def _lowering(x, kernel, stride, padding):
     return xp, windows, kmat, stride, out_spatial, inner
 
 
-def _max_at(z):
-    """Max over axis 1 of (B, P, C) z, and its (B, C) index; ties go to the first."""
-    idx = z.argmax(axis=1)
-    return np.take_along_axis(z, idx[:, None], axis=1)[:, 0], idx
-
-
 def conv_nd(x, kernel, stride=1, padding="valid"):
     """Cross-correlation, channels last.
 
@@ -532,32 +532,39 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
 
 
 # conv_global_max_pool runs its GEMM over blocks of about this many output
-# positions, so each block's conv output stays in cache while it is pooled
-_POOL_BLOCK_ROWS = 1024
+# positions, so each block's conv output stays in cache while it is pooled;
+# a block comes out channels first, (C_out, b*P), and is pooled along its rows
+_POOL_BLOCK_ROWS = 800
 
 
 def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     """global_max_pool(conv_nd(x, kernel, stride, padding)) as one operation.
 
     Maps (B, S1..Sd, C_in) to (B, C_out). The forward runs conv_nd's
-    im2col GEMM block by block over the batch and keeps only each
-    channel's maximum and its position; the conv output itself is never
-    held. Ties route to the first maximum, as in global_max_pool. The
-    backward touches only the B*C_out winning positions: the kernel
-    gradient gathers their patches, and the input gradient scatters the
-    matching kernel columns back over them.
+    im2col GEMM block by block over the batch and pools each block
+    channels first: the block comes out as (C_out, b*P), so the P
+    positions of each (channel, image) pair are one contiguous row, and
+    only each row's maximum and its position are kept; the conv output
+    itself is never held. Ties route to the first maximum, as in
+    global_max_pool. The backward touches only the B*C_out winning
+    positions: the kernel gradient gathers their patches, and the input
+    gradient scatters the matching kernel columns back over them.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     xp, windows, kmat, stride, out_spatial, inner = _lowering(x, kernel, stride, padding)
     ksize, c_out = kernel.data.shape[:-2], kmat.shape[1]
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
-    pooled = np.empty((batch, c_out), dtype=xp.dtype)
-    idx = np.empty((batch, c_out), dtype=np.intp)
+    pooled = np.empty((c_out, batch), dtype=xp.dtype)
+    idx = np.empty((c_out, batch), dtype=np.intp)
     step = max(1, _POOL_BLOCK_ROWS // positions)
+    row = np.arange(c_out * min(step, batch))
     for lo in range(0, batch, step):
         cols = windows[lo:lo + step].reshape(-1, len(kmat))
-        z = (cols @ kmat).astype(xp.dtype, copy=False).reshape(-1, positions, c_out)
-        pooled[lo:lo + step], idx[lo:lo + step] = _max_at(z)
+        z = (kmat.T @ cols.T).astype(xp.dtype, copy=False).reshape(-1, positions)
+        at = z.argmax(axis=1)
+        pooled[:, lo:lo + step] = z[row[:len(z)], at].reshape(c_out, -1)
+        idx[:, lo:lo + step] = at.reshape(c_out, -1)
+    pooled, idx = pooled.T, idx.T
 
     def backward(g):
         # (b, position) of every channel's maximum, one spatial index array per axis

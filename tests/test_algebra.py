@@ -474,6 +474,14 @@ class TestFieldTypes:
                                              "number is 2 wide over 'complex'"):
             getattr(alg, call)(*args)
 
+    @pytest.mark.parametrize("call", ["mult", "left_matrix"])
+    @pytest.mark.parametrize("element", [["1", "0"], [1, 2**70]], ids=["strings", "bigint"])
+    def test_string_and_object_elements_are_refused(self, call, element):
+        alg = predefined("complex")
+        args = [element] + ([[1, 0]] if call == "mult" else [])
+        with pytest.raises(ValueError, match="^data must hold real numbers, got dtype "):
+            getattr(alg, call)(*args)
+
     @pytest.mark.parametrize("name", [["x"], 3, True, {"a": 1}])
     def test_name_must_be_a_string_or_null(self, tmp_path, name):
         doc = algebra_to_doc(predefined("complex"))

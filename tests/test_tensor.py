@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -253,6 +254,74 @@ class TestConv:
             return T.tensor_sum(T.conv_nd(x, t, stride=2, padding="same"))
 
         assert T.finite_diff_check(loss, k) < 1e-6
+
+
+# (input spatial, kernel spatial) per d. With a batch of 7, blocks of 1
+# and 7 rows split every case: one image per block where the positions
+# outnumber the block, and a ragged tail in 1-D at stride 2, where a block
+# holds 2 or 3 images. At the default, the 2-D cases at stride 1 (196 and
+# 256 positions) split into full blocks and a ragged one.
+_BLOCK_CASES = {1: ((6,), (3,)), 2: ((16, 16), (3, 3)), 3: ((3, 4, 5), (2, 2, 3))}
+_BLOCK_ROWS = [1, 7, pytest.param(None, id="default")]
+
+
+class TestConvGlobalMaxPoolBlocks:
+    """conv_global_max_pool against global_max_pool(conv_nd(...)) over several blocks."""
+
+    @staticmethod
+    def fused_and_chain(x, kernel, stride, padding, weights):
+        """(value, x.grad, kernel.grad) of sum(op(x, kernel) * weights) for both ops."""
+        results = []
+        for op in (T.conv_global_max_pool,
+                   lambda *args, **kw: T.global_max_pool(T.conv_nd(*args, **kw))):
+            xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+            out = op(xt, kt, stride=stride, padding=padding)
+            T.tensor_sum(T.mul(out, Tensor(weights, dtype=x.dtype))).backward()
+            results.append((out.data, xt.grad, kt.grad))
+        return results
+
+    @pytest.mark.parametrize("rows", _BLOCK_ROWS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_unfused_chain(self, monkeypatch, d, padding, stride, dtype, rows):
+        if rows is not None:
+            monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", rows)
+        spatial, ksize = _BLOCK_CASES[d]
+        rng = np.random.default_rng([d, stride, padding == "same"])
+        x = rng.standard_normal((7, *spatial, 2)).astype(dtype)
+        kernel = rng.standard_normal((*ksize, 2, 3)).astype(dtype)
+        weights = rng.uniform(0.5, 1.5, (7, 3))
+        fused, chain = self.fused_and_chain(x, kernel, stride, padding, weights)
+        tol = 1e-12 if dtype == np.float64 else 1e-5
+        for got, want in zip(fused, chain):
+            assert got.dtype == want.dtype == dtype
+            npt.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("rows", _BLOCK_ROWS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ties_on_a_constant_input_go_to_the_first_maximum(self, monkeypatch, d,
+                                                              padding, dtype, rows):
+        # small integers keep every sum exact in any order, so positions
+        # tie exactly and both ops must pick the same, first, maximum
+        if rows is not None:
+            monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", rows)
+        spatial, ksize = _BLOCK_CASES[d]
+        rng = np.random.default_rng(d)
+        x = np.ones((7, *spatial, 2), dtype=dtype)
+        kernel = rng.integers(-3, 4, (*ksize, 2, 3)).astype(dtype)
+        weights = rng.integers(1, 4, (7, 3))
+        fused, chain = self.fused_and_chain(x, kernel, 1, padding, weights)
+        for got, want in zip(fused, chain):
+            npt.assert_array_equal(got, want)
+        if padding == "valid":
+            # every position ties, so only the first patch of x gets a gradient
+            outside = np.ones(x.shape, dtype=bool)
+            outside[(slice(None), *(slice(0, k) for k in ksize))] = False
+            assert (fused[1][outside] == 0).all()
 
 
 class TestBackward:
@@ -514,6 +583,25 @@ class TestComplexRefused:
         assert Tensor(np.ones(2, np.float32)).data.dtype == np.float32
         assert Tensor([1, 2]).data.dtype == np.float64
         assert Tensor([1, 2], dtype=np.float32).data.dtype == np.float32
+
+
+class TestRealDataOnly:
+    # numpy casts these to float; like the table gate, Tensor refuses them
+    @pytest.mark.parametrize("data", [["1.5"], np.array(["1.5"]), [b"1"], np.array([b"1"]),
+                                      [1, 2**70], np.array([1.0], dtype=object),
+                                      [Fraction(1, 2)]], ids=repr)
+    @pytest.mark.parametrize("dtype", [None, np.float32, np.float64])
+    def test_strings_and_objects_are_refused(self, data, dtype):
+        kind = np.asarray(data).dtype
+        with pytest.raises(ValueError, match=re.escape(
+                f"data must hold real numbers, got dtype {kind}")):
+            Tensor(data, dtype=dtype)
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_bools_are_read_as_zero_and_one(self, dtype):
+        out = Tensor(np.array([True, False]), dtype=dtype).data
+        npt.assert_array_equal(out, [1.0, 0.0])
+        assert out.dtype == (dtype or np.float64)
 
 
 class TestArgumentRules:

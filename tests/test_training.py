@@ -527,6 +527,18 @@ class TestFitArguments:
         with pytest.raises(ValueError, match=f"^x: .*{cause}"):
             fit(linear_probe_model(), x, np.zeros((2, 1)), epochs=1, optimizer=SGD())
 
+    @pytest.mark.parametrize("arg", ["x", "y"])
+    @pytest.mark.parametrize("data", [[["1"], ["0"]], [[1], [2**70]]], ids=["strings", "bigint"])
+    def test_strings_and_objects_numpy_can_cast_are_refused(self, arg, data):
+        given = {"x": np.zeros((2, 1)), "y": np.zeros((2, 1)), arg: data}
+        model = linear_probe_model()
+        message = f"^{arg}: data must hold real numbers, got dtype {np.asarray(data).dtype}$"
+        with pytest.raises(ValueError, match=message):
+            fit(model, given["x"], given["y"], epochs=1, optimizer=SGD())
+        with pytest.raises(ValueError, match=message):
+            evaluate(model, given["x"], given["y"])
+        assert not model.built
+
     def test_validation_the_model_refuses_is_named(self):
         x, y = np.zeros((2, 1)), np.zeros((2, 1))
         with pytest.raises(ValueError, match="^validation: binary cross-entropy targets"):
