@@ -6,8 +6,10 @@ The whole layer is lowered to an ordinary real computation by expanding
 each weight element into its left-multiplication matrix: a HyperDense
 with u units over m input elements becomes an (m*n, u*n) matrix W, used
 as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
-A HyperConv has one forward: conv_nd, or with pooled=True, which Sequential
-sets for a conv followed by GlobalMaxPool, conv_global_max_pool.
+A dense layer, HyperDense or Dense, runs its product, bias and activation
+as one tensor.linear node. A HyperConv has one forward: conv_nd, or with
+pooled=True, which Sequential sets for a conv followed by GlobalMaxPool,
+conv_global_max_pool.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -57,15 +59,6 @@ def _check_seed(seed):
     if seed is not None and not (T._is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be None or an int >= 0, got {seed!r}")
     return seed
-
-
-def _check_activation(name, allow_none=False):
-    """name, which must name an activation, or be None where allow_none."""
-    known = isinstance(name, str) and name in _ACTIVATIONS
-    if not (known or (name is None and allow_none)):
-        raise ValueError(f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
-                         + (" or None" if allow_none else ""))
-    return name
 
 
 class Layer:
@@ -121,8 +114,9 @@ class Layer:
 
 
 class _Affine(Layer):
-    """A layer computing activation(linear(x) + bias): a dense layer's
-    forward takes linear from self._linear, a conv states its own forward.
+    """A layer computing activation(linear(x) + bias): a dense layer runs
+    it as one tensor.linear node, a conv as its conv op, add_bias and the
+    activation.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -132,7 +126,7 @@ class _Affine(Layer):
     def __init__(self, activation, seed, dtype):
         self.seed = _check_seed(seed)
         self.dtype = T._float_dtype(dtype)
-        self.activation = _check_activation(activation, allow_none=True)
+        self.activation = T._check_activation(activation, allow_none=True)
         self.weights = None
         self.bias = None
 
@@ -176,16 +170,6 @@ class _Affine(Layer):
             cause = str(exc)
         raise ShapeError(f"{self.name} built for input {self.in_shape}, "
                          f"got input shape {x.data.shape}: {cause}")
-
-    def forward(self, x):
-        self._check_input(x)
-        return self._finish(self._linear(x))
-
-    def _finish(self, z):
-        out = T.add_bias(z, self.bias)
-        if self.activation:
-            out = _ACTIVATIONS[self.activation](out)
-        return out
 
     def params(self):
         return [self.weights, self.bias] if self.built else []
@@ -245,8 +229,10 @@ class HyperDense(_Affine):
                              f"of algebra dim {n}")
         return (self.units, width // n, n), (self.units * n,)
 
-    def _linear(self, x):
-        return T.matmul(x, assemble_block_matrix(self.weights, self.algebra))
+    def forward(self, x):
+        self._check_input(x)
+        return T.linear(x, assemble_block_matrix(self.weights, self.algebra),
+                        self.bias, self.activation)
 
     def config(self):
         elems = self.in_shape[0] // self.algebra.dim if self.built else None
@@ -304,7 +290,10 @@ class _HyperConv(_Affine):
         self._check_input(x)
         kernel = assemble_conv_kernel(self.weights, self.algebra)
         conv = T.conv_global_max_pool if pooled else T.conv_nd
-        return self._finish(conv(x, kernel, stride=self.stride, padding=self.padding))
+        out = T.add_bias(conv(x, kernel, stride=self.stride, padding=self.padding), self.bias)
+        if self.activation:
+            out = _ACTIVATIONS[self.activation](out)
+        return out
 
     def config(self):
         return {"filters": self.filters, "kernel_size": self.kernel_size,
@@ -342,8 +331,9 @@ class Dense(_Affine):
         """A (width, units) weight matrix and a units-wide bias."""
         return (self._flat_width(in_shape), self.units), (self.units,)
 
-    def _linear(self, x):
-        return T.matmul(x, self.weights)
+    def forward(self, x):
+        self._check_input(x)
+        return T.linear(x, self.weights, self.bias, self.activation)
 
     def config(self):
         return {"units": self.units, "activation": self.activation,
@@ -358,7 +348,7 @@ class Activation(Layer):
     file_tag = "activation"
 
     def __init__(self, activation):
-        self.activation = _check_activation(activation)
+        self.activation = T._check_activation(activation)
 
     def forward(self, x):
         return _ACTIVATIONS[self.activation](x)

@@ -8,11 +8,12 @@ scalar walks the recorded graph newest tensor first. Every tensor is
 numbered at creation, after its parents, so a tensor's gradient is
 complete by the time the walk reaches it.
 
-Layer primitives (``expand_blocks``, ``conv_nd``, ``global_max_pool``
-and ``conv_global_max_pool``, a convolution pooled to one value per
-channel) and the loss ``binary_cross_entropy`` are single operations
-with their own backward rule, one tape node each, not chains of generic
-ones. The loss's backward is the closed form of its clip/log chain.
+Layer primitives (``expand_blocks``, ``linear``, a dense layer's
+activation(x @ w + bias), ``conv_nd``, ``global_max_pool`` and
+``conv_global_max_pool``, a convolution pooled to one value per channel)
+and the loss ``binary_cross_entropy`` are single operations with their
+own backward rule, one tape node each, not chains of generic ones. The
+loss's backward is the closed form of its clip/log chain.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
@@ -152,8 +153,11 @@ class Tensor:
             g = flowing.pop(node)
             if node._backward is None:
                 if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
+                    # one op with the bits of zeros_like(data) += g: data's
+                    # dtype, and -0.0 made +0.0
+                    node.grad = np.add(g, 0.0, dtype=node.data.dtype)
+                else:
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -177,11 +181,26 @@ def _wrap(x):
 
 
 def _result(data, parents, backward):
-    out = Tensor(data)
+    """An op's output as a tensor, on the tape if any parent requires grad.
+
+    An op's own float output skips _coerce: a numpy scalar from a full
+    reduction becomes a 0-d array. Anything else, such as the output of an
+    op given a complex or object scalar operand, goes through _coerce,
+    which refuses it.
+    """
+    data = np.asarray(data)
+    out = Tensor.__new__(Tensor)
+    out.data = data if data.dtype.char in "fd" else _coerce(data)
+    out.grad = None
+    out._seq = next(_creation_order)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -219,6 +238,15 @@ def _positive_int(name, value):
     return int(value)
 
 
+def _check_activation(name, allow_none=False):
+    """name, which must name an activation, or be None where allow_none."""
+    known = isinstance(name, str) and name in _ACTIVATION_RULES
+    if not (known or (name is None and allow_none)):
+        raise ValueError(f"unknown activation {name!r}; choose from "
+                         f"{sorted(_ACTIVATION_RULES)}" + (" or None" if allow_none else ""))
+    return name
+
+
 def _check_same_shape(op, a, b):
     if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ "
@@ -237,12 +265,16 @@ def add(a, b):
     return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
+def _check_bias(op, shape, bias):
+    if bias.data.ndim != 1 or shape[-1] != bias.data.shape[0]:
+        raise ShapeError(f"{op}: bias {bias.data.shape} does not fit "
+                         f"last axis of {shape}")
+
+
 def add_bias(x, bias):
     """x + bias with bias broadcast over the last axis."""
     x, bias = _wrap(x), _wrap(bias)
-    if bias.data.ndim != 1 or x.data.shape[-1] != bias.data.shape[0]:
-        raise ShapeError(f"add_bias: bias {bias.data.shape} does not fit "
-                         f"last axis of {x.data.shape}")
+    _check_bias("add_bias", x.data.shape, bias)
     axes = tuple(range(x.data.ndim - 1))
     return _result(x.data + bias.data, (x, bias),
                    lambda g: (g, g.sum(axis=axes)))
@@ -262,16 +294,31 @@ def neg(x):
     return _result(-x.data, (x,), lambda g: (-g,))
 
 
+# an activation's forward on data, and its backward rule from the output;
+# tanh, sigmoid and linear all run these
+def _tanh_rule(z):
+    t = np.tanh(z)
+    return t, lambda g: g * (1.0 - t * t)
+
+
+def _sigmoid_rule(z):
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s, lambda g: g * s * (1.0 - s)
+
+
+_ACTIVATION_RULES = {"tanh": _tanh_rule, "sigmoid": _sigmoid_rule}
+
+
 def tanh(x):
     x = _wrap(x)
-    t = np.tanh(x.data)
-    return _result(t, (x,), lambda g: (g * (1.0 - t * t),))
+    t, rule = _tanh_rule(x.data)
+    return _result(t, (x,), lambda g: (rule(g),))
 
 
 def sigmoid(x):
     x = _wrap(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    return _result(s, (x,), lambda g: (g * s * (1.0 - s),))
+    s, rule = _sigmoid_rule(x.data)
+    return _result(s, (x,), lambda g: (rule(g),))
 
 
 def log(x):
@@ -302,17 +349,25 @@ def binary_cross_entropy(pred, target, eps):
     _check_same_shape("binary_cross_entropy", pred, target)
     x, y = pred.data, target.data
     lo, hi = eps, 1.0 - eps
-    p = np.clip(x, lo, hi)
+    p = np.minimum(np.maximum(x, lo), hi)    # np.clip's values, NaN kept, in two ufuncs
     q, y_off = -p + 1.0, -y + 1.0       # 1 - p and 1 - y, as neg then add
     terms = y * np.log(p) + y_off * np.log(q)
+    # terms.mean() as np.mean runs it: one pairwise sum, then the division.
+    # np.mean divides by an intp, so a float32 sum is divided in float64
+    # and rounded back; that double rounding equals this one float32
+    # division for any size below 2**24
+    mean = np.add.reduce(terms, axis=None) / terms.size
 
     def backward(g):
-        s = np.full_like(terms, -g / terms.size)
+        # the mean's gradient: one scalar in terms' dtype, as np.full_like
+        # would fill an array with it
+        s = terms.dtype.type(-g / terms.size)
         # the walk reaches the log(1 - p) branch first
         dp = -((s * y_off) / q) + (s * y) / p
-        return (dp * ((x >= lo) & (x <= hi)),)
+        # p == x exactly where lo <= x <= hi: where clip passes the gradient
+        return (dp * (p == x),)
 
-    return _result(-terms.mean(), (pred,), backward)
+    return _result(-mean, (pred,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +439,46 @@ def global_max_pool(x):
 # ---------------------------------------------------------------------------
 # linear algebra
 
+def _check_matmul(op, a, b):
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"{op} is 2-D only, got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ, {a.data.shape} @ {b.data.shape}")
+
+
 def matmul(a, b):
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul is 2-D only, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.data.shape} @ {b.data.shape}")
+    _check_matmul("matmul", a, b)
     return _result(a.data @ b.data, (a, b),
                    lambda g: (g @ b.data.T if a.requires_grad else None,
                               a.data.T @ g if b.requires_grad else None))
+
+
+def linear(x, w, bias, activation=None):
+    """activation(x @ w + bias) as one operation, a dense layer's forward.
+
+    x is (B, I), w (I, U) and bias (U,); activation is None, "tanh" or
+    "sigmoid". Value, dtype and gradients equal those of the chain
+    matmul, add_bias and tanh or sigmoid bit for bit: the forward runs the
+    chain's numpy operations in its order, and the backward runs the
+    chain's rules in the order its walk does, activation, bias, product.
+    """
+    x, w, bias = _wrap(x), _wrap(w), _wrap(bias)
+    _check_matmul("linear", x, w)
+    _check_bias("linear", (x.data.shape[0], w.data.shape[1]), bias)
+    out = x.data @ w.data + bias.data
+    rule = None
+    if _check_activation(activation, allow_none=True) is not None:
+        out, rule = _ACTIVATION_RULES[activation](out)
+
+    def backward(g):
+        if rule is not None:
+            g = rule(g)
+        db = g.sum(axis=0) if bias.requires_grad else None
+        return (g @ w.data.T if x.requires_grad else None,
+                x.data.T @ g if w.requires_grad else None, db)
+
+    return _result(out, (x, w, bias), backward)
 
 
 def expand_blocks(x, table, axes, shape):
@@ -410,7 +496,7 @@ def expand_blocks(x, table, axes, shape):
     table = np.asarray(table, dtype=x.data.dtype).reshape(n, n * n)
     blocks = (x.data.reshape(-1, n) @ table).reshape(*lead, n, n)
     placed = np.ascontiguousarray(blocks.transpose(axes))
-    inverse = np.argsort(axes)
+    inverse = sorted(range(len(axes)), key=axes.__getitem__)
 
     def backward(g):
         g = g.reshape(placed.shape).transpose(inverse).reshape(-1, n * n)
@@ -556,10 +642,15 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
     pooled = np.empty((c_out, batch), dtype=xp.dtype)
     idx = np.empty((c_out, batch), dtype=np.intp)
-    step = max(1, _POOL_BLOCK_ROWS // positions)
-    row = np.arange(c_out * min(step, batch))
+    step = min(max(1, _POOL_BLOCK_ROWS // positions), batch)
+    row = np.arange(c_out * step)
+    # one im2col buffer per call, filled block by block: a fresh copy per
+    # block cost page faults whenever the allocator handed it back to the OS
+    buf = np.empty((step, *windows.shape[1:]), dtype=windows.dtype)
     for lo in range(0, batch, step):
-        cols = windows[lo:lo + step].reshape(-1, len(kmat))
+        block = buf[:min(step, batch - lo)]
+        np.copyto(block, windows[lo:lo + step])
+        cols = block.reshape(-1, len(kmat))
         z = (kmat.T @ cols.T).astype(xp.dtype, copy=False).reshape(-1, positions)
         at = z.argmax(axis=1)
         pooled[:, lo:lo + step] = z[row[:len(z)], at].reshape(c_out, -1)

@@ -35,15 +35,20 @@ def bce_loss(pred, target):
 def accuracy(pred, target):
     """Fraction of thresholded predictions matching binary targets.
 
-    pred and target must have the same shape; nothing broadcasts. The
-    threshold is inclusive: a prediction of exactly 0.5 counts as class 1.
+    pred and target must have the same shape, with at least one entry;
+    nothing broadcasts. The threshold is inclusive: a prediction of
+    exactly 0.5 counts as class 1.
     """
     pred = _as_array(pred)
     target = _as_array(target)
     if pred.shape != target.shape:
         raise ShapeError(f"accuracy: pred shape {pred.shape} and target shape "
                          f"{target.shape} differ")
-    return float(((pred >= 0.5) == (target >= 0.5)).mean())
+    hits = (pred >= 0.5) == (target >= 0.5)
+    if hits.size == 0:
+        raise ValueError("accuracy needs at least one prediction, got none")
+    # the count over the size, the value np.mean gives, without its overhead
+    return float(np.count_nonzero(hits) / hits.size)
 
 
 def _real(name, value):
@@ -69,17 +74,95 @@ def _decay(name, value):
     return value
 
 
+class _Flat:
+    """An optimizer's parameters packed as one flat array per dtype.
+
+    Each parameter's data is a reshaped view into its dtype's flat array,
+    and its entry in each per-parameter state dict (Adam's moments) a view
+    into a flat state array of that dtype. So each ufunc of an update rule
+    runs once per dtype over all parameters, and being elementwise it
+    rounds every entry as it would one parameter at a time. While the same
+    parameters come back in the same order, each p.data still the view
+    last handed out, a step only concatenates the gradients. Anything else
+    (a parameter gained, lost or moved, or a p.data rebound by a load, by
+    another optimizer or by hand) re-packs from the current p.data and
+    state, so a parameter keeps its own state and starts from its value.
+    """
+
+    def __init__(self, *states):
+        self.states = states   # per-parameter dicts packed along, in this order
+        self.params = []       # the parameters in the order last stepped
+        self.views = []        # the p.data view each was last handed
+        # per dtype: its parameters, their (position, span, shape), and
+        # [flat data, *flat states]
+        self.groups = []
+
+    def arrays(self, params):
+        """[flat data, flat gradient, *flat states] for each dtype.
+
+        Every parameter needs a gradient of its own shape. The flat data is
+        read only; the flat states are the parameters' state, to update in
+        place.
+        """
+        params = list(params)
+        for p in params:
+            g = p.grad
+            if g is None:
+                raise RuntimeError("parameter has no gradient; run backward first")
+            if g.shape != p.data.shape:
+                raise ShapeError(f"gradient shape {g.shape} does not match "
+                                 f"parameter shape {p.data.shape}")
+        if len(params) != len(self.views) or any(
+                p is not q or p.data is not view
+                for p, q, view in zip(params, self.params, self.views)):
+            self._pack(params)
+        return [[data, np.concatenate([p.grad for p in members], axis=None), *states]
+                for members, _, (data, *states) in self.groups]
+
+    def _pack(self, params):
+        if len(set(map(id, params))) != len(params):
+            raise ValueError("a parameter appears more than once in the list")
+        by_dtype = {}
+        for i, p in enumerate(params):
+            by_dtype.setdefault(p.data.dtype, []).append(i)
+        self.groups = []
+        for dtype, positions in by_dtype.items():
+            members = [params[i] for i in positions]
+            spans, start = [], 0
+            for i, p in zip(positions, members):
+                spans.append((i, slice(start, start + p.data.size), p.data.shape))
+                start += p.data.size
+            flats = [np.concatenate([p.data for p in members], axis=None)]
+            for state in self.states:
+                flat = np.concatenate([state.get(p, np.zeros_like(p.data)) for p in members],
+                                      axis=None, dtype=dtype)
+                for p, (_, span, shape) in zip(members, spans):
+                    state[p] = flat[span].reshape(shape)
+                flats.append(flat)
+            self.groups.append((members, spans, flats))
+        self.params = params
+        self.views = []        # until rebind hands them out
+
+    def rebind(self, new):
+        """Make new, one flat array per dtype in the order of arrays(), the
+        parameters' data: each p.data becomes a reshaped view of it."""
+        views = [None] * len(self.params)
+        for (members, spans, flats), data in zip(self.groups, new):
+            flats[0] = data
+            for p, (i, span, shape) in zip(members, spans):
+                views[i] = p.data = data[span].reshape(shape)
+        self.views = views
+
+
 class SGD:
-    """Plain gradient descent, w <- w - lr * g."""
+    """Plain gradient descent, w <- w - lr * g, on flat arrays (see _Flat)."""
 
     def __init__(self, lr=0.01):
         self.lr = _positive("lr", lr)
+        self._flat = _Flat()
 
     def step(self, params):
-        for p in params:
-            if p.grad is None:
-                raise RuntimeError("parameter has no gradient; run backward first")
-            p.data = p.data - self.lr * p.grad
+        self._flat.rebind([data - self.lr * g for data, g in self._flat.arrays(params)])
 
 
 class Adam:
@@ -88,8 +171,10 @@ class Adam:
         m += (g - m) * (1 - beta1);  v += (g * g - v) * (1 - beta2)
         p.data = p.data - lr * (m / c1) / (sqrt(v / c2) + eps)
 
-    Each parameter's moments are made once and updated in place; p.data is
-    rebound to a new array, never written.
+    The moments are updated in place, and p.data is rebound to a new array,
+    never written. Each ufunc runs once per dtype over all parameters: the
+    parameters, their gradients and their moments are flat arrays, and
+    _m[p] and _v[p] views into the flat moments (see _Flat).
     """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -101,24 +186,20 @@ class Adam:
         # keyed by the parameter itself, whose strong reference keeps its id unique
         self._m: dict[Tensor, np.ndarray] = {}
         self._v: dict[Tensor, np.ndarray] = {}
+        self._flat = _Flat(self._m, self._v)
 
     def step(self, params):
+        groups = self._flat.arrays(params)
         self.step_count += 1
         t = self.step_count
         a1, a2 = 1.0 - self.beta1, 1.0 - self.beta2
         c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        for p in params:
-            g = p.grad
-            if g is None:
-                raise RuntimeError("parameter has no gradient; run backward first")
-            m = self._m.get(p)
-            if m is None:
-                m = self._m[p] = np.zeros_like(p.data)
-                self._v[p] = np.zeros_like(p.data)
-            v = self._v[p]
+        new = []
+        for data, g, m, v in groups:
             m += (g - m) * a1
             v += (g * g - v) * a2
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            new.append(data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
+        self._flat.rebind(new)
 
 
 @dataclass

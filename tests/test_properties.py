@@ -211,6 +211,54 @@ class TestFusedBceLoss:
                 f"{name}: {bits_differ(fused, chain)} for pred {x!r}, target {y!r}")
 
 
+def linear_chain(x, w, bias, activation):
+    """A dense layer as the chain of tape ops that linear fuses."""
+    out = T.add_bias(T.matmul(x, w), bias)
+    return {"tanh": T.tanh, "sigmoid": T.sigmoid}[activation](out) if activation else out
+
+
+@st.composite
+def linear_cases(draw):
+    """(x, w, bias, activation, whether x records) of drawn shapes and dtypes."""
+    dtypes = [draw(st.sampled_from([np.float32, np.float64])) for _ in range(3)]
+    batch, width, units = (draw(st.integers(1, 5)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # at 2, tanh and sigmoid saturate in float32 but exp does not overflow
+    scale = draw(st.sampled_from([0.01, 0.1, 1.0, 2.0]))
+    x, w, bias = ((rng.standard_normal(shape) * scale).astype(dtype)
+                  for shape, dtype in zip(((batch, width), (width, units), (units,)), dtypes))
+    return (x, w, bias, draw(st.sampled_from([None, "tanh", "sigmoid"])),
+            draw(st.booleans()))
+
+
+class TestLinear:
+    @settings(max_examples=150)
+    @given(linear_cases(), st.integers(0, 2**32 - 1))
+    def test_equals_the_chain_bit_for_bit(self, case, seed):
+        x, w, bias, activation, x_records = case
+        results = []
+        for op in (T.linear, linear_chain):
+            leaves = [Tensor(x.copy(), requires_grad=x_records),
+                      Tensor(w.copy(), requires_grad=True), Tensor(bias.copy(), requires_grad=True)]
+            out = op(*leaves, activation)
+            weights = np.random.default_rng(seed).uniform(0.5, 1.5, out.data.shape)
+            loss = T.tensor_sum(T.mul(out, Tensor(weights, dtype=out.data.dtype)))
+            # the gradients reaching the leaves, before a leaf casts to its dtype
+            arriving = reference_leaf_grads(loss)
+            loss.backward()
+            results.append([out.data, *(arriving.get(id(t)) for t in leaves),
+                            *(t.grad for t in leaves)])
+        names = ["value", "x arriving", "w arriving", "bias arriving", "x.grad", "w.grad",
+                 "bias.grad"]
+        for name, fused, chain in zip(names, *results):
+            if chain is None:
+                assert fused is None and name.startswith("x") and not x_records, name
+                continue
+            assert bits_differ(fused, chain) == "", (
+                f"{name}: {bits_differ(fused, chain)} for {activation}, "
+                f"dtypes {x.dtype}, {w.dtype}, {bias.dtype}")
+
+
 def algebra_tensors(bound):
     """(n, n, n) structure tensors, n <= 4, with entries in [-bound, bound].
 

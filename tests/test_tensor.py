@@ -162,6 +162,46 @@ class TestMatmul:
             T.expand_blocks(x, np.ones((3, 3, 3)), (1, 2, 0, 3), (9, 6))
 
 
+
+class TestLinear:
+    def test_hand_example(self):
+        out = T.linear(Tensor([[1.0, 2.0]]), Tensor([[3.0, 0.5], [4.0, -1.0]]),
+                       Tensor([0.5, 1.5]))
+        npt.assert_array_equal(out.data, [[11.5, 0.0]])
+        npt.assert_array_equal(T.linear(Tensor([[0.0]]), Tensor([[1.0]]), Tensor([0.0]),
+                                        "sigmoid").data, [[0.5]])
+
+    def test_records_one_node_over_all_three_operands(self):
+        x, w, b = (Tensor(np.ones(s), requires_grad=True) for s in ((2, 3), (3, 4), (4,)))
+        out = T.linear(x, w, b, "tanh")
+        assert out._parents == (x, w, b)
+        assert all(p._backward is None for p in out._parents)
+
+    def test_operands_that_do_not_record_get_no_gradient(self):
+        x, w = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4)))
+        b = Tensor(np.zeros(4), requires_grad=True)
+        T.tensor_sum(T.linear(x, w, b)).backward()
+        assert x.grad is None and w.grad is None
+        npt.assert_array_equal(b.grad, [2.0, 2.0, 2.0, 2.0])
+        assert T.linear(x, w, Tensor(np.zeros(4)))._backward is None
+
+    @pytest.mark.parametrize("x_shape,w_shape,b_shape,message", [
+        ((2, 3), (2, 4), (4,), r"^linear: inner dims differ, \(2, 3\) @ \(2, 4\)$"),
+        ((3,), (3, 4), (4,), r"^linear is 2-D only, got \(3,\) @ \(3, 4\)$"),
+        ((2, 3), (3, 4), (3,), r"^linear: bias \(3,\) does not fit last axis of \(2, 4\)$"),
+        ((2, 3), (3, 4), (1, 4), r"^linear: bias \(1, 4\) does not fit last axis of \(2, 4\)$"),
+    ])
+    def test_shapes_are_checked(self, x_shape, w_shape, b_shape, message):
+        with pytest.raises(ShapeError, match=message):
+            T.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)), Tensor(np.ones(b_shape)))
+
+    @pytest.mark.parametrize("activation", ["relu", "", 1, ["tanh"]])
+    def test_unknown_activation_is_refused(self, activation):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown activation {activation!r}; choose from ['sigmoid', 'tanh'] or None")):
+            T.linear(Tensor(np.ones((1, 1))), Tensor(np.ones((1, 1))), Tensor(np.ones(1)),
+                     activation)
+
 class TestConv:
     def test_ones_box_sums_to_nine(self):
         x = Tensor(np.ones((1, 3, 3, 1)))
@@ -433,6 +473,16 @@ class TestBackward:
         assert not out.requires_grad
         assert out._parents == ()
 
+    def test_a_leaf_holds_its_first_gradient_in_its_dtype_and_minus_zero_as_zero(self):
+        # as zeros_like(data) += g would: the gradient cast to the leaf's
+        # dtype, and -0.0 + 0.0 is +0.0
+        w = Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32), requires_grad=True)
+        scale = Tensor(np.array([np.pi, -0.0, 1e-50]))
+        T.tensor_sum(T.mul(T.add(w, 0.0), scale)).backward()
+        assert w.grad.dtype == np.float32
+        assert w.grad.tobytes() == np.array([np.pi, 0.0, 0.0], dtype=np.float32).tobytes()
+        assert not np.signbit(w.grad[1])
+
 
 # a non-unital, non-commutative (2, 2, 2) structure tensor
 _TABLE = np.array([[[0.5, -1.0], [2.0, 0.25]], [[-0.75, 1.5], [1.0, -2.0]]])
@@ -442,6 +492,16 @@ _POOL_KERNEL = np.array([0.7, -0.4, -1.1, 0.9, 0.3, 1.3, 1.2, -0.5, -0.2, 0.8,
                          0.6, -1.3]).reshape(3, 2, 1, 2)
 _POOL_INPUT = np.array([[[0.2], [-1.4], [0.9], [1.7], [-0.6]],
                         [[1.1], [0.4], [-0.8], [-1.9], [0.5]]])              # (2, 5, 1)
+
+# linear operands whose other sides are checked; each records, so every
+# rule of the node runs in each case
+_LINEAR_X = np.array([[0.4, -0.7, 1.1], [-0.3, 0.8, 0.5]])                  # (2, 3)
+_LINEAR_W = np.array([[0.6, -0.9], [1.2, 0.3], [-0.5, 0.7]])                # (3, 2)
+_LINEAR_BIAS = np.array([0.2, -0.4])
+
+
+def _recording(data):
+    return Tensor(data, requires_grad=True)
 
 
 _BCE_TARGET = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
@@ -494,6 +554,17 @@ class TestOpGradients:
         "expand_blocks": (lambda t: T.expand_blocks(T.reshape(t, (3, 2)), _TABLE,
                                                     (1, 0, 2), (2, 6)), -0.9, 0.9),
         "reshape": (lambda t: T.reshape(t, (3, 2)), -0.9, 0.9),
+        "linear": (lambda t: T.linear(_recording(_LINEAR_X), T.reshape(t, (3, 2)),
+                                      _recording(_LINEAR_BIAS)), -0.9, 0.9),
+        "linear_tanh": (lambda t: T.linear(T.reshape(t, (2, 3)), _recording(_LINEAR_W),
+                                           _recording(_LINEAR_BIAS), "tanh"), -0.9, 0.9),
+        # t is both operands of the product
+        "linear_sigmoid": (lambda t: T.linear(T.reshape(t, (2, 3)), T.reshape(t, (3, 2)),
+                                              _recording(_LINEAR_BIAS), "sigmoid"),
+                           -0.9, 0.9),
+        "linear_bias": (lambda t: T.linear(_recording(_LINEAR_X),
+                                           _recording(np.tile(_LINEAR_W, (1, 3))), t,
+                                           "tanh"), -0.9, 0.9),
         "flatten": (lambda t: T.flatten(T.reshape(t, (2, 3))), -0.9, 0.9),
     }
 
@@ -603,6 +674,26 @@ class TestRealDataOnly:
         npt.assert_array_equal(out, [1.0, 0.0])
         assert out.dtype == (dtype or np.float64)
 
+
+    # an op's float output skips the data rule; what else a scalar operand
+    # makes still meets it
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    @pytest.mark.parametrize("scalar,message", [
+        (1j, "complex data is refused"), (np.complex64(1), "complex data is refused"),
+        (Fraction(1, 2), "data must hold real numbers, got dtype object")])
+    def test_a_scalar_operand_that_is_no_real_is_refused(self, op, scalar, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            op(Tensor([1.0, 2.0]), scalar)
+
+    @pytest.mark.parametrize("op", [T.add, T.mul])
+    def test_an_op_output_keeps_its_float_dtype_or_is_made_float64(self, op):
+        for dtype, scalar, want in [(np.float32, 2.0, np.float32),
+                                    (np.float32, np.float64(2.0), np.float64),
+                                    (np.float64, np.longdouble(2.0), np.float64)]:
+            out = op(Tensor(np.ones(2), dtype=dtype), scalar)
+            assert out.data.dtype == want and isinstance(out.data, np.ndarray)
+        total = T.tensor_sum(Tensor(np.ones(3), requires_grad=True))
+        assert type(total.data) is np.ndarray and total.data.shape == ()
 
 class TestArgumentRules:
     @pytest.mark.parametrize("value", [0, -3, 2**70, np.int8(1), np.uint64(2**63)],

@@ -58,11 +58,9 @@ class TestBceLoss:
         with pytest.raises(ValueError, match="target requires grad"):
             bce_loss(Tensor([[0.5], [0.5]], requires_grad=True), target)
 
-    def test_one_xor_training_step_records_eight_tape_nodes(self):
-        # expand_blocks, matmul, add_bias, tanh, matmul, add_bias, sigmoid
-        # and the loss
-        model = _xor_model(predefined("quaternions"), 42)
-        loss = bce_loss(model.forward(Tensor(XOR_X)), Tensor(XOR_Y))
+    @staticmethod
+    def recorded_nodes(loss):
+        """The tensors under loss that hold a backward rule, loss included."""
         nodes, todo, seen = [], [loss], set()
         while todo:
             t = todo.pop()
@@ -70,8 +68,29 @@ class TestBceLoss:
                 seen.add(id(t))
                 nodes += [t] if t._backward is not None else []
                 todo.extend(t._parents)
-        assert len(nodes) == 8
+        return nodes
+
+    def test_one_xor_training_step_records_six_tape_nodes(self):
+        # expand_blocks, linear, tanh, linear, sigmoid and the loss: each
+        # dense layer is one node, each Activation layer its own
+        model = _xor_model(predefined("quaternions"), 42)
+        loss = bce_loss(model.forward(Tensor(XOR_X)), Tensor(XOR_Y))
+        assert len(self.recorded_nodes(loss)) == 6
         assert loss._parents[0]._backward is not None      # the sigmoid's node
+
+    def test_one_octonion_training_step_records_six_tape_nodes(self):
+        # the float32 octonion model of the dense benchmark: expand_blocks
+        # and linear for each HyperDense, linear for the Dense (its sigmoid
+        # inside) and the loss
+        model = Sequential([
+            HyperDense(16, algebra="octonions", activation="tanh", dtype=np.float32),
+            HyperDense(8, algebra="octonions", activation="tanh", dtype=np.float32),
+            Dense(1, activation="sigmoid", dtype=np.float32),
+        ], seed=7)
+        x = np.random.default_rng(7).standard_normal((8, 64)).astype(np.float32)
+        y = np.zeros((8, 1), dtype=np.float32)
+        loss = bce_loss(model.forward(Tensor(x)), Tensor(y))
+        assert len(self.recorded_nodes(loss)) == 6
 
     def test_gradient_matches_closed_form(self):
         # d/dp of the mean BCE is (p - y) / (p (1 - p) B)
@@ -92,6 +111,18 @@ class TestAccuracy:
 
     def test_half_correct(self):
         assert accuracy(np.array([0.6, 0.6]), np.array([1.0, 0.0])) == 0.5
+
+    def test_equals_the_mean_of_the_hits(self):
+        rng = np.random.default_rng(12)
+        for size in (1, 3, 7, 1000):
+            pred, target = rng.random((size, 1)), rng.random((size, 1)) < 0.5
+            hits = (pred >= 0.5) == (target >= 0.5)
+            value = accuracy(pred, target)
+            assert type(value) is float and value == float(hits.mean())
+
+    def test_no_predictions_are_refused(self):
+        with pytest.raises(ValueError, match="accuracy needs at least one prediction"):
+            accuracy(np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 class TestOptimizers:
@@ -233,6 +264,167 @@ class TestOptimizers:
         with pytest.raises(RuntimeError, match="gradient"):
             Adam().step([w])
 
+
+
+class PerParameterAdam:
+    """Adam one parameter at a time, moments made on first sight: the
+    reference the flat optimizer must equal bit for bit."""
+
+    def __init__(self, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-7):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t, self.m, self.v = 0, {}, {}
+
+    def step(self, params):
+        self.t += 1
+        c1, c2 = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
+        for p in params:
+            g = p.grad
+            m = self.m.setdefault(p, np.zeros_like(p.data))
+            v = self.v.setdefault(p, np.zeros_like(p.data))
+            m += (g - m) * (1.0 - self.beta1)
+            v += (g * g - v) * (1.0 - self.beta2)
+            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class TestFlatOptimizerState:
+    """Adam and SGD keep one flat array per dtype; whatever the caller does
+    between steps, each parameter's trajectory is the per-parameter one."""
+
+    SHAPES = [((3, 4), np.float64), ((4,), np.float64), ((2, 2, 3), np.float32),
+              ((), np.float64)]
+
+    # what happens before each step, as ("step", positions) or an action
+    # on the parameter at a position; every scenario ends in steps
+    SCENARIOS = {
+        "same list": [("step", [0, 1, 2, 3])] * 4,
+        "reordered": [("step", [0, 1, 2, 3]), ("step", [3, 1, 0, 2]),
+                      ("step", [2, 3, 1, 0]), ("step", [0, 1, 2, 3])],
+        "gains one": [("step", [0, 1]), ("step", [0, 1, 3]), ("step", [2, 0, 1, 3]),
+                      ("step", [2, 0, 1, 3])],
+        "loses one": [("step", [0, 1, 2, 3]), ("step", [0, 2, 3]), ("step", [0, 2, 3]),
+                      ("step", [1, 0, 2, 3])],
+        "fresh one-item lists": [("step", [0]), ("step", [2]), ("step", [1]), ("step", [0]),
+                                 ("step", [1])],
+        "loaded weight": [("step", [0, 1, 2, 3]), ("load", 1), ("step", [0, 1, 2, 3]),
+                          ("step", [0, 1, 2, 3])],
+        "sgd step": [("step", [0, 1, 2, 3]), ("sgd", [2, 0]), ("step", [0, 1, 2, 3]),
+                     ("sgd", [0, 1, 2, 3]), ("step", [0, 1, 2, 3])],
+        "rebound by hand": [("step", [0, 1, 2, 3]), ("scale", 0), ("scale", 3),
+                            ("step", [0, 1, 2, 3]), ("step", [0, 1, 2, 3])],
+        "written in place": [("step", [0, 1, 2, 3]), ("write", 2), ("write", 1),
+                             ("step", [0, 1, 2, 3]), ("step", [0, 1, 2, 3])],
+    }
+
+    @staticmethod
+    def act(action, arg, params, sgd_step, rng_seed):
+        rng = np.random.default_rng(rng_seed)
+        if action == "load":
+            params[arg].data = rng.standard_normal(params[arg].data.shape).astype(
+                params[arg].data.dtype)
+        elif action == "sgd":
+            sgd_step([params[i] for i in arg])
+        elif action == "scale":
+            params[arg].data = params[arg].data * 0.5
+        elif action == "write":
+            params[arg].data[...] = rng.standard_normal(params[arg].data.shape)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_adam_equals_the_per_parameter_formula_bit_for_bit(self, name):
+        rng = np.random.default_rng(31)
+        start = [rng.standard_normal(shape).astype(dtype) for shape, dtype in self.SHAPES]
+        flat = [Tensor(p.copy(), requires_grad=True, dtype=p.dtype) for p in start]
+        ref = [Tensor(p.copy(), requires_grad=True, dtype=p.dtype) for p in start]
+        opt, ref_opt = Adam(lr=0.01), PerParameterAdam(lr=0.01)
+
+        def ref_sgd_step(params):      # the per-parameter formula
+            for p in params:
+                p.data = p.data - 0.1 * p.grad
+
+        for k, (action, arg) in enumerate(self.SCENARIOS[name]):
+            if action != "step":
+                self.act(action, arg, flat, SGD(lr=0.1).step, k)
+                self.act(action, arg, ref, ref_sgd_step, k)
+                continue
+            for i in arg:
+                g = (rng.standard_normal(flat[i].data.shape)
+                     * 10.0 ** rng.integers(-3, 3)).astype(flat[i].data.dtype)
+                flat[i].grad, ref[i].grad = g, g.copy()
+            opt.step([flat[i] for i in arg])
+            ref_opt.step([ref[i] for i in arg])
+            for i, (f, r) in enumerate(zip(flat, ref)):
+                assert f.data.dtype == r.data.dtype, (name, k, i)
+                assert f.data.tobytes() == r.data.tobytes(), (name, k, i)
+                if r in ref_opt.m:
+                    assert opt._m[f].tobytes() == ref_opt.m[r].tobytes(), (name, k, i)
+                    assert opt._v[f].tobytes() == ref_opt.v[r].tobytes(), (name, k, i)
+                else:
+                    assert f not in opt._m
+
+    def test_a_parameter_given_another_dtype_keeps_it_and_its_moments(self):
+        # the moments follow the parameter into its new dtype's flat array
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        opt = Adam(lr=0.1)
+        a.grad, b.grad = np.array([1.0, -2.0, 0.5]), np.ones(2)
+        opt.step([a, b])
+        m, v = opt._m[a].copy(), opt._v[a].copy()
+        a.data = a.data.astype(np.float32)
+        a.grad = np.zeros(3, dtype=np.float32)
+        opt.step([a, b])
+        assert a.data.dtype == opt._m[a].dtype == opt._v[a].dtype == np.float32
+        assert b.data.dtype == np.float64
+        m, v = m.astype(np.float32), v.astype(np.float32)
+        assert opt._m[a].tobytes() == (m + (a.grad - m) * (1.0 - 0.9)).tobytes()
+        assert opt._v[a].tobytes() == (v + (a.grad * a.grad - v) * (1.0 - 0.999)).tobytes()
+
+    def test_sgd_steps_every_parameter_by_its_own_gradient(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float32), requires_grad=True, dtype=np.float32)
+        opt = SGD(lr=0.5)
+        for order in ([a, b], [a, b], [b, a]):
+            a.grad, b.grad = np.full((2, 2), 2.0), np.full(3, 4.0, dtype=np.float32)
+            before = (a.data, b.data)
+            kept = (a.data.copy(), b.data.copy())
+            opt.step(order)
+            npt.assert_array_equal(before[0], kept[0])     # never written
+            npt.assert_array_equal(before[1], kept[1])
+            npt.assert_array_equal(a.data, kept[0] - 1.0)
+            npt.assert_array_equal(b.data, kept[1] - 2.0)
+            assert b.data.dtype == np.float32
+
+    def test_parameters_and_moments_are_views_of_one_array_per_dtype(self):
+        params = [Tensor(np.ones(s), requires_grad=True, dtype=d)
+                  for s, d in [((2, 3), np.float64), (4, np.float32), (5, np.float64)]]
+        opt = Adam()
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        opt.step(params)
+        f64, f32 = [params[0], params[2]], [params[1]]
+        for group in (f64, f32):
+            for store in ((p.data for p in group), (opt._m[p] for p in group),
+                          (opt._v[p] for p in group)):
+                bases = {id(a.base) for a in store}
+                assert len(bases) == 1 and None not in bases
+        assert not np.shares_memory(params[0].data, params[1].data)
+        assert [p.data.shape for p in params] == [(2, 3), (4,), (5,)]
+
+    def test_a_gradient_of_another_shape_is_refused_before_any_update(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        a.grad, b.grad = np.ones(3), np.ones((2, 1))
+        for opt in (SGD(), Adam()):
+            with pytest.raises(ShapeError, match=re.escape(
+                    "gradient shape (2, 1) does not match parameter shape (2,)")):
+                opt.step([a, b])
+            npt.assert_array_equal(a.data, np.ones(3))
+
+    def test_a_parameter_listed_twice_is_refused(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        a.grad = np.ones(3)
+        for opt in (SGD(), Adam()):
+            with pytest.raises(ValueError, match="appears more than once"):
+                opt.step([a, a])
+            npt.assert_array_equal(a.data, np.ones(3))
 
 def linear_probe_model(seed=0):
     return Sequential([Dense(1), Activation("sigmoid")], seed=seed)
