@@ -6,10 +6,12 @@ The whole layer is lowered to an ordinary real computation by expanding
 each weight element into its left-multiplication matrix: a HyperDense
 with u units over m input elements becomes an (m*n, u*n) matrix W, used
 as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
-A dense layer, HyperDense or Dense, runs its product, bias and activation
-as one tensor.linear node. A HyperConv has one forward: conv_nd, or with
+Every weighted layer ends in one tape node for its bias and activation: a
+dense layer, HyperDense or Dense, runs its product, bias and activation as
+one tensor.linear node, and a HyperConv its conv op, then one
+tensor.add_bias node with its activation. The conv op is conv_nd, or with
 pooled=True, which Sequential sets for a conv followed by GlobalMaxPool,
-conv_global_max_pool.
+conv_global_max_pool. The Activation layer runs the tensor op of its name.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -37,8 +39,6 @@ import numpy as np
 from . import tensor as T
 from .algebra import StructureConstants, predefined
 from .tensor import ShapeError, Tensor
-
-_ACTIVATIONS = {"tanh": T.tanh, "sigmoid": T.sigmoid}
 
 
 def _resolve_algebra(algebra):
@@ -115,8 +115,8 @@ class Layer:
 
 class _Affine(Layer):
     """A layer computing activation(linear(x) + bias): a dense layer runs
-    it as one tensor.linear node, a conv as its conv op, add_bias and the
-    activation.
+    it as one tensor.linear node, a conv as its conv op and one
+    tensor.add_bias node that applies the activation too.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -275,11 +275,12 @@ class _HyperConv(_Affine):
         return (*out_spatial, width)
 
     def forward(self, x, pooled=False):
-        """The conv of x; with pooled, GlobalMaxPool().forward of it as one node.
+        """The conv of x, then one add_bias node for the bias and activation.
 
-        pooled runs one conv_global_max_pool node for conv_nd, add_bias and
-        global_max_pool, pooling before the bias, so the bias and activation
-        act on (B, F) only. Sequential sets it for a conv followed by a pool.
+        With pooled, GlobalMaxPool().forward of that: the conv node is one
+        conv_global_max_pool for conv_nd and global_max_pool, pooling
+        before the bias, so the add_bias node acts on (B, F) only.
+        Sequential sets it for a conv followed by a pool.
         Pooling first keeps the values: rounding is monotone, so
         max(z + b) == max(z) + b, and tanh and sigmoid are non-decreasing.
         Only the gradient can move, at a tie: rounding in z + b or in the
@@ -290,10 +291,8 @@ class _HyperConv(_Affine):
         self._check_input(x)
         kernel = assemble_conv_kernel(self.weights, self.algebra)
         conv = T.conv_global_max_pool if pooled else T.conv_nd
-        out = T.add_bias(conv(x, kernel, stride=self.stride, padding=self.padding), self.bias)
-        if self.activation:
-            out = _ACTIVATIONS[self.activation](out)
-        return out
+        return T.add_bias(conv(x, kernel, stride=self.stride, padding=self.padding),
+                          self.bias, self.activation)
 
     def config(self):
         return {"filters": self.filters, "kernel_size": self.kernel_size,
@@ -351,7 +350,8 @@ class Activation(Layer):
         self.activation = T._check_activation(activation)
 
     def forward(self, x):
-        return _ACTIVATIONS[self.activation](x)
+        # each name in the activation table is also the name of its op
+        return getattr(T, self.activation)(x)
 
     def config(self):
         return {"activation": self.activation}

@@ -9,11 +9,14 @@ numbered at creation, after its parents, so a tensor's gradient is
 complete by the time the walk reaches it.
 
 Layer primitives (``expand_blocks``, ``linear``, a dense layer's
-activation(x @ w + bias), ``conv_nd``, ``global_max_pool`` and
-``conv_global_max_pool``, a convolution pooled to one value per channel)
-and the loss ``binary_cross_entropy`` are single operations with their
-own backward rule, one tape node each, not chains of generic ones. The
-loss's backward is the closed form of its clip/log chain.
+activation(x @ w + bias), ``add_bias``, a conv's activation(x + bias),
+``conv_nd``, ``global_max_pool`` and ``conv_global_max_pool``, a
+convolution pooled to one value per channel) and the loss
+``binary_cross_entropy`` are single operations with their own backward
+rule, one tape node each, not chains of generic ones. ``linear`` and
+``add_bias`` share one bias-and-activation rule, and ``_ACTIVATION_RULES``
+is the one table of activations. The loss's backward is the closed form
+of its clip/log chain.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
 Python scalar; anything else must be reshaped explicitly (``add_bias``
@@ -265,21 +268,6 @@ def add(a, b):
     return _result(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def _check_bias(op, shape, bias):
-    if bias.data.ndim != 1 or shape[-1] != bias.data.shape[0]:
-        raise ShapeError(f"{op}: bias {bias.data.shape} does not fit "
-                         f"last axis of {shape}")
-
-
-def add_bias(x, bias):
-    """x + bias with bias broadcast over the last axis."""
-    x, bias = _wrap(x), _wrap(bias)
-    _check_bias("add_bias", x.data.shape, bias)
-    axes = tuple(range(x.data.ndim - 1))
-    return _result(x.data + bias.data, (x, bias),
-                   lambda g: (g, g.sum(axis=axes)))
-
-
 def mul(a, b):
     if not isinstance(b, Tensor) and np.isscalar(b):
         a = _wrap(a)
@@ -295,17 +283,26 @@ def neg(x):
 
 
 # an activation's forward on data, and its backward rule from the output;
-# tanh, sigmoid and linear all run these
+# tanh, sigmoid and the tail of add_bias and linear all run these
 def _tanh_rule(z):
     t = np.tanh(z)
     return t, lambda g: g * (1.0 - t * t)
 
 
+# the largest exponent whose exp is finite, by dtype; in float32,
+# exp(log(max)) already overflows, so its bound is one ulp lower
+_EXP_MAX = {np.dtype(np.float64): np.log(np.finfo(np.float64).max),
+            np.dtype(np.float32): np.nextafter(np.log(np.finfo(np.float32).max), np.float32(0))}
+
+
 def _sigmoid_rule(z):
-    s = 1.0 / (1.0 + np.exp(-z))
+    # the exponent clamped where exp would overflow: s is then tiny but not
+    # 0, with no warning, and every z whose exp(-z) is finite keeps its bits
+    s = 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX[z.dtype])))
     return s, lambda g: g * s * (1.0 - s)
 
 
+# the one table of activations: each name is also the name of its op below
 _ACTIVATION_RULES = {"tanh": _tanh_rule, "sigmoid": _sigmoid_rule}
 
 
@@ -319,6 +316,42 @@ def sigmoid(x):
     x = _wrap(x)
     s, rule = _sigmoid_rule(x.data)
     return _result(s, (x,), lambda g: (rule(g),))
+
+
+def _tail(op, z, bias, activation):
+    """(activation(z + bias), its backward rule g -> (dz, dbias)): the tail
+    of every weighted layer, after op's product z.
+
+    The rule runs the activation's rule, then sums over the leading axes
+    for the bias, and only if the bias records.
+    """
+    if bias.data.ndim != 1 or z.shape[-1:] != bias.data.shape:
+        raise ShapeError(f"{op}: bias {bias.data.shape} does not fit "
+                         f"last axis of {z.shape}")
+    out, rule = z + bias.data, None
+    if _check_activation(activation, allow_none=True) is not None:
+        out, rule = _ACTIVATION_RULES[activation](out)
+    axes = tuple(range(z.ndim - 1))
+
+    def backward(g):
+        if rule is not None:
+            g = rule(g)
+        return g, (g.sum(axis=axes) if bias.requires_grad else None)
+
+    return out, backward
+
+
+def add_bias(x, bias, activation=None):
+    """activation(x + bias) as one operation, bias broadcast over the last axis.
+
+    activation is None, "tanh" or "sigmoid". A conv layer's tail: value,
+    dtype and gradients equal those of add_bias then tanh or sigmoid bit
+    for bit.
+    """
+    x, bias = _wrap(x), _wrap(bias)
+    out, tail = _tail("add_bias", x.data, bias, activation)
+    # a closure of add_bias's own, so that the node is named for its op
+    return _result(out, (x, bias), lambda g: tail(g))
 
 
 def log(x):
@@ -462,19 +495,14 @@ def linear(x, w, bias, activation=None):
     matmul, add_bias and tanh or sigmoid bit for bit: the forward runs the
     chain's numpy operations in its order, and the backward runs the
     chain's rules in the order its walk does, activation, bias, product.
+    The bias and activation are add_bias's tail, run on the product.
     """
     x, w, bias = _wrap(x), _wrap(w), _wrap(bias)
     _check_matmul("linear", x, w)
-    _check_bias("linear", (x.data.shape[0], w.data.shape[1]), bias)
-    out = x.data @ w.data + bias.data
-    rule = None
-    if _check_activation(activation, allow_none=True) is not None:
-        out, rule = _ACTIVATION_RULES[activation](out)
+    out, tail = _tail("linear", x.data @ w.data, bias, activation)
 
     def backward(g):
-        if rule is not None:
-            g = rule(g)
-        db = g.sum(axis=0) if bias.requires_grad else None
+        g, db = tail(g)
         return (g @ w.data.T if x.requires_grad else None,
                 x.data.T @ g if w.requires_grad else None, db)
 

@@ -189,6 +189,13 @@ class TestHelperLayers:
         with pytest.raises(ValueError):
             Activation("relu")
 
+    @pytest.mark.parametrize("name", sorted(T._ACTIVATION_RULES))
+    def test_activation_layer_records_the_op_of_its_name(self, name):
+        x = Tensor(np.linspace(-2.0, 2.0, 6).reshape(2, 3), requires_grad=True)
+        out = Activation(name)(x)
+        assert out._parents == (x,) and out._backward.__qualname__.split(".")[0] == name
+        npt.assert_array_equal(out.data, T._ACTIVATION_RULES[name](x.data)[0])
+
     def test_activation_takes_its_config_key_as_its_argument(self):
         layer = Activation(activation="sigmoid")
         assert layer.activation == "sigmoid"

@@ -158,9 +158,17 @@ class TestConvPoolFusion:
         model = Sequential([HyperConv2D(2, (2, 2), activation="tanh"), GlobalMaxPool(),
                             Dense(1)], seed=4)
         out = model.forward(Tensor(np.ones((2, 4, 4, 4))))
+        # the conv's tanh is folded into its add_bias tail
         assert tape_ops(out) == ["add_bias", "conv_global_max_pool", "expand_blocks",
-                                 "linear", "tanh"]
+                                 "linear"]
         assert model.layers[1].in_shape == (3, 3, 8)
+
+    def test_unpooled_conv_records_one_tail_node(self):
+        model = Sequential([HyperConv2D(2, (2, 2), activation="tanh"), Flatten(),
+                            Dense(1)], seed=4)
+        out = model.forward(Tensor(np.ones((2, 4, 4, 4))))
+        assert tape_ops(out) == ["add_bias", "conv_nd", "expand_blocks", "linear",
+                                 "reshape"]
 
     @pytest.mark.parametrize("tail", [lambda: [Flatten(), Dense(1)],
                                       lambda: [Activation("tanh"), GlobalMaxPool()]])

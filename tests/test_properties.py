@@ -259,6 +259,54 @@ class TestLinear:
                 f"dtypes {x.dtype}, {w.dtype}, {bias.dtype}")
 
 
+@st.composite
+def add_bias_cases(draw):
+    """(x, bias, activation, whether x records): x 2-5-D, x and bias each
+    float32 or float64."""
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 5))))
+    dtypes = [draw(st.sampled_from([np.float32, np.float64])) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # at 100 and 1000, sigmoid's exponent is clamped in float32, at 1000 in
+    # float64 too
+    scale = draw(st.sampled_from([0.01, 1.0, 2.0, 100.0, 1000.0]))
+    x, bias = ((rng.standard_normal(s) * scale).astype(dtype)
+               for s, dtype in zip((shape, shape[-1:]), dtypes))
+    return (x, bias, draw(st.sampled_from([None, "tanh", "sigmoid"])),
+            draw(st.booleans()))
+
+
+class TestAddBias:
+    @settings(max_examples=100)
+    @given(add_bias_cases(), st.integers(0, 2**32 - 1))
+    def test_activation_equals_the_two_node_chain_bit_for_bit(self, case, seed):
+        x, bias, activation, x_records = case
+
+        def chain(x, bias, activation):
+            out = T.add_bias(x, bias)
+            return getattr(T, activation)(out) if activation else out
+
+        results = []
+        for op in (T.add_bias, chain):
+            leaves = [Tensor(x.copy(), requires_grad=x_records),
+                      Tensor(bias.copy(), requires_grad=True)]
+            out = op(*leaves, activation)
+            weights = np.random.default_rng(seed).uniform(0.5, 1.5, out.data.shape)
+            loss = T.tensor_sum(T.mul(out, Tensor(weights, dtype=out.data.dtype)))
+            # the gradients reaching the leaves, before a leaf casts to its dtype
+            arriving = reference_leaf_grads(loss)
+            loss.backward()
+            results.append([out.data, *(arriving.get(id(t)) for t in leaves),
+                            *(t.grad for t in leaves)])
+        names = ["value", "x arriving", "bias arriving", "x.grad", "bias.grad"]
+        for name, fused, two_nodes in zip(names, *results):
+            if two_nodes is None:
+                assert fused is None and name.startswith("x") and not x_records, name
+                continue
+            assert bits_differ(fused, two_nodes) == "", (
+                f"{name}: {bits_differ(fused, two_nodes)} for {activation}, "
+                f"shape {x.shape}, dtypes {x.dtype}, {bias.dtype}")
+
+
 def algebra_tensors(bound):
     """(n, n, n) structure tensors, n <= 4, with entries in [-bound, bound].
 

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 
+from khnn import tensor as T
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -28,3 +30,9 @@ def test_readme_examples_run(capsys):
 
     exec(compile(blocks[1], "README.md convolution example", "exec"), namespace)
     assert namespace["model"].predict(np.zeros((2, 16, 16, 4))).shape == (2, 1)
+
+
+def test_tensor_names_in_the_prose_exist():
+    names = set(re.findall(r"khnn\.tensor\.(\w+)", README.read_text()))
+    assert names, "README names no khnn.tensor op"
+    assert sorted(name for name in names if not hasattr(T, name)) == []

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from khnn import tensor as T
-from khnn.layers import HyperDense
+from khnn.layers import Activation, HyperDense
 from khnn.tensor import ShapeError, Tensor
 
 from conftest import naive_conv_nd
@@ -61,6 +62,63 @@ class TestElementwise:
     def test_add_bias_rejects_wrong_width(self):
         with pytest.raises(ShapeError):
             T.add_bias(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
+
+    def test_add_bias_rejects_an_input_without_a_last_axis(self):
+        with pytest.raises(ShapeError, match=r"^add_bias: bias \(1,\) does not fit "
+                                             r"last axis of \(\)$"):
+            T.add_bias(Tensor(1.0), Tensor([1.0]))
+
+    def test_add_bias_applies_the_activation(self):
+        out = T.add_bias(Tensor([[0.0, 1.0]]), Tensor([0.0, -1.0]), "sigmoid")
+        npt.assert_array_equal(out.data, [[0.5, 0.5]])
+        npt.assert_array_equal(T.add_bias(Tensor([[0.0]]), Tensor([0.0]), "tanh").data, [[0.0]])
+
+    @pytest.mark.parametrize("activation", ["relu", "", 1, ["tanh"]])
+    def test_add_bias_refuses_an_unknown_activation(self, activation):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown activation {activation!r}; choose from ['sigmoid', 'tanh'] or None")):
+            T.add_bias(Tensor(np.ones((1, 1))), Tensor(np.ones(1)), activation)
+
+
+class TestSigmoidOverflow:
+    """sigmoid far below 0, through every path that runs its rule: no
+    overflow warning, and a finite value and gradient."""
+
+    # each path computes sigmoid(z) of a (B, 1) z
+    PATHS = {
+        "sigmoid": T.sigmoid,
+        "Activation": lambda z: Activation("sigmoid")(z),
+        "linear": lambda z: T.linear(z, Tensor([[1.0]], dtype=z.data.dtype),
+                                     Tensor([0.0], dtype=z.data.dtype), "sigmoid"),
+        "add_bias": lambda z: T.add_bias(z, Tensor([0.0], dtype=z.data.dtype), "sigmoid"),
+    }
+
+    @pytest.mark.parametrize("dtype,z", [(np.float32, -100.0), (np.float64, -800.0)],
+                             ids=["float32", "float64"])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_far_below_zero_is_finite_without_a_warning(self, path, dtype, z):
+        x = Tensor(np.full((2, 1), z), requires_grad=True, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = self.PATHS[path](x)
+            T.tensor_sum(out).backward()
+        assert out.data.dtype == dtype
+        assert np.isfinite(out.data).all() and (out.data >= 0).all()
+        assert np.isfinite(x.grad).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_bound_is_the_largest_finite_exponent(self, dtype):
+        bound = T._EXP_MAX[np.dtype(dtype)]
+        assert bound.dtype == dtype and np.isfinite(np.exp(bound))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(np.nextafter(bound, dtype(np.inf))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_z_inside_the_bound_keeps_its_bits(self, dtype):
+        bound = T._EXP_MAX[np.dtype(dtype)]
+        z = -np.array([bound, np.nextafter(bound, dtype(0)), 30.0, 0.0, -5.0], dtype=dtype)
+        unclamped = 1.0 / (1.0 + np.exp(-z))
+        assert T.sigmoid(Tensor(z)).data.tobytes() == unclamped.tobytes()
 
 
 class TestReductionsAndShapes:
@@ -527,6 +585,11 @@ class TestOpGradients:
         "add": (lambda t: T.add(t, Tensor(np.full(t.data.shape, 0.3))), -0.9, 0.9),
         "add_scalar": (lambda t: T.add(t, 1.7), -0.9, 0.9),
         "add_bias": (lambda t: T.add_bias(Tensor(np.ones((3, 6))), t), -0.9, 0.9),
+        "add_bias_tanh": (lambda t: T.add_bias(T.reshape(t, (3, 2)),
+                                               _recording(_LINEAR_BIAS), "tanh"), -0.9, 0.9),
+        # t is the bias, over a 3-D input
+        "add_bias_sigmoid": (lambda t: T.add_bias(
+            _recording(np.linspace(-0.8, 0.8, 36).reshape(2, 3, 6)), t, "sigmoid"), -0.9, 0.9),
         "mul": (lambda t: T.mul(t, Tensor(np.full(t.data.shape, -0.8))), -0.9, 0.9),
         "mul_scalar": (lambda t: T.mul(t, 2.5), -0.9, 0.9),
         "neg": (T.neg, -0.9, 0.9),
