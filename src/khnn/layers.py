@@ -98,11 +98,24 @@ class Layer:
 
     @classmethod
     def from_config(cls, config, **algebra):
-        """The unbuilt layer a config() dict describes, and its recorded shape or None."""
+        """The unbuilt layer a config() dict describes, and its recorded shape or None.
+
+        A shape record is a non-empty list of ints >= 0 under "in_shape" and
+        one such int under the other keys; bools and floats are refused.
+        """
         args = dict(config)
-        recorded = args.pop(cls.shape_key, None)
+        key = cls.shape_key
+        recorded = args.pop(key, None)
         layer = cls(**args, **algebra)
-        return layer, None if recorded is None else layer._shape_from(recorded)
+        if recorded is None:
+            return layer, None
+        many = key == "in_shape"
+        entries = recorded if many else [recorded]
+        if not (isinstance(entries, list) and entries
+                and all(T._is_int(e) and e >= 0 for e in entries)):
+            form = "a non-empty list of ints" if many else "an int"
+            raise ValueError(f"{key} must be {form} >= 0, got {recorded!r}")
+        return layer, layer._shape_from(recorded)
 
     def _shape_from(self, recorded):
         return tuple(recorded)

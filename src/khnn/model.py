@@ -3,12 +3,15 @@
 Model files are single self-contained JSON documents: layer configs
 (including shapes inferred at build time), each hyper layer's algebra
 table embedded in full, and every parameter as base64 little-endian
-float64 in enumeration order (layer order, weights before bias).
+float64 in enumeration order (layer order, weights before bias). Each
+value must be finite in its layer's dtype; save_model writes no NaN or
+Inf, and load_model refuses a blob that holds one after the cast.
 
 A layer is {"kind": file_tag, "config": config(), "algebra": document or
 null}. A layer class joins the registry LAYER_CLASSES with a unique
 file_tag and a config() keyed by its constructor arguments plus any
-shape_key it records; Layer.from_config reads each back, algebra as a keyword.
+shape_key it records; Layer.from_config reads each back, algebra as a keyword,
+and refuses a shape record that is not an int >= 0 (a list of them for in_shape).
 load_model builds each layer at the shape it records, else at the one the
 chain from layer 0's record brings it, in one pass that draws no seed.
 """
@@ -182,12 +185,17 @@ def _layer_from_doc(doc):
 
 
 def save_model(model, path):
+    params = model.params()
+    for i, p in enumerate(params):   # so every file written loads back
+        if not np.isfinite(p.data).all():
+            raise ValueError(f"parameter {i} holds NaN or Inf; a model file stores "
+                             f"finite weights only")
     doc = {
         "format_version": FORMAT_VERSION,
         "layers": [_layer_doc(layer) for layer in model.layers],
         "weights": [base64.b64encode(
             np.ascontiguousarray(p.data, dtype="<f8").tobytes()).decode("ascii")
-            for p in model.params()],
+            for p in params],
     }
     write_atomic(path, json.dumps(doc, indent=1) + "\n")
 
@@ -208,16 +216,23 @@ def load_model(path):
         if shapes and shapes[0] is not None:   # else each layer's record alone
             chain = model._input_shapes(shapes[0])
             shapes = [c if s is None else s for s, c in zip(shapes, chain)]
-        # each blob is checked against its shape before any weight is drawn
-        expected = [s for layer, record in pairs if record is not None
+        # each blob is checked against its shape and dtype before any weight is drawn
+        expected = [(s, layer.dtype) for layer, record in pairs if record is not None
                     and isinstance(layer, L._Affine) for s in layer.param_shapes(record)]
         if len(raws) != len(expected):
             raise ValueError(f"'weights' holds {len(raws)} parameter blobs, "
                              f"expected {len(expected)}")
-        for i, (raw, shape) in enumerate(zip(raws, expected)):
+        weights = []
+        for i, (raw, (shape, dtype)) in enumerate(zip(raws, expected)):
             if len(raw) != math.prod(shape) * 8:
                 raise ValueError(f"parameter blob {i} holds {len(raw)} bytes, "
                                  f"expected {math.prod(shape) * 8}")
+            with np.errstate(over="ignore"):   # a value beyond the dtype casts to inf
+                w = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(dtype)
+            if not np.isfinite(w).all():
+                raise ValueError(f"parameter blob {i} holds a value that is not "
+                                 f"finite in {dtype.name}")
+            weights.append(w)
         placeholder = np.random.default_rng(0)   # weights the blobs overwrite
         for layer, shape in zip(model.layers, shapes):
             if shape is not None:
@@ -225,7 +240,6 @@ def load_model(path):
     except (KeyError, TypeError, ValueError) as exc:   # binascii.Error included
         raise ModelLoadError(f"malformed model file {path}: {exc}") from exc
     params = [p for layer, record in pairs if record is not None for p in layer.params()]
-    for p, raw in zip(params, raws):
-        decoded = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape)
-        p.data = decoded.astype(p.data.dtype)
+    for p, w in zip(params, weights):
+        p.data = w
     return model

@@ -77,32 +77,35 @@ def _decay(name, value):
 class _Flat:
     """An optimizer's parameters packed as one flat array per dtype.
 
-    Each parameter's data is a reshaped view into its dtype's flat array,
-    and its entry in each per-parameter state dict (Adam's moments) a view
-    into a flat state array of that dtype. So each ufunc of an update rule
-    runs once per dtype over all parameters, and being elementwise it
-    rounds every entry as it would one parameter at a time. While the same
-    parameters come back in the same order, each p.data still the view
-    last handed out, a step only concatenates the gradients. Anything else
-    (a parameter gained, lost or moved, or a p.data rebound by a load, by
-    another optimizer or by hand) re-packs from the current p.data and
-    state, so a parameter keeps its own state and starts from its value.
+    update(params, rule) is the one call a step makes: rule(data, grad,
+    *states) runs once per dtype, on that dtype's flat data, gradient and
+    states, and returns the new flat data. Each p.data becomes a reshaped
+    view of it, and each parameter's entry in a per-parameter state dict
+    (Adam's moments) is a view into a flat state array. So each ufunc of
+    an update rule runs once per dtype over all parameters, and being
+    elementwise it rounds every entry as it would one parameter at a time.
+    While the same parameters come back in the same order, each p.data
+    still the view last handed out, a step only concatenates the
+    gradients. Anything else (a parameter gained, lost or moved, or a
+    p.data rebound by a load, by another optimizer or by hand) re-packs
+    from the current p.data and state, so a parameter keeps its own state
+    and starts from its value.
     """
 
     def __init__(self, *states):
         self.states = states   # per-parameter dicts packed along, in this order
         self.params = []       # the parameters in the order last stepped
         self.views = []        # the p.data view each was last handed
-        # per dtype: its parameters, their (position, span, shape), and
-        # [flat data, *flat states]
+        # per dtype: its parameters, their (span, shape), and [flat data, *flat states]
         self.groups = []
 
-    def arrays(self, params):
-        """[flat data, flat gradient, *flat states] for each dtype.
+    def update(self, params, rule):
+        """Step params: each p.data becomes a view of rule(data, grad, *states).
 
-        Every parameter needs a gradient of its own shape. The flat data is
-        read only; the flat states are the parameters' state, to update in
-        place.
+        rule gets one dtype's flat data (read only), flat gradient and flat
+        states (the parameters' state, to update in place), and returns the
+        new flat data. Every parameter needs a gradient of its own shape and
+        may appear once; a list refused for either changes nothing.
         """
         params = list(params)
         for p in params:
@@ -116,53 +119,46 @@ class _Flat:
                 p is not q or p.data is not view
                 for p, q, view in zip(params, self.params, self.views)):
             self._pack(params)
-        return [[data, np.concatenate([p.grad for p in members], axis=None), *states]
-                for members, _, (data, *states) in self.groups]
+        for members, spans, flats in self.groups:
+            grad = np.concatenate([p.grad for p in members], axis=None)
+            flats[0] = data = rule(flats[0], grad, *flats[1:])
+            for p, (span, shape) in zip(members, spans):
+                p.data = data[span].reshape(shape)
+        self.views = [p.data for p in params]
 
     def _pack(self, params):
         if len(set(map(id, params))) != len(params):
             raise ValueError("a parameter appears more than once in the list")
         by_dtype = {}
-        for i, p in enumerate(params):
-            by_dtype.setdefault(p.data.dtype, []).append(i)
+        for p in params:
+            by_dtype.setdefault(p.data.dtype, []).append(p)
         self.groups = []
-        for dtype, positions in by_dtype.items():
-            members = [params[i] for i in positions]
+        for dtype, members in by_dtype.items():
             spans, start = [], 0
-            for i, p in zip(positions, members):
-                spans.append((i, slice(start, start + p.data.size), p.data.shape))
+            for p in members:
+                spans.append((slice(start, start + p.data.size), p.data.shape))
                 start += p.data.size
             flats = [np.concatenate([p.data for p in members], axis=None)]
             for state in self.states:
                 flat = np.concatenate([state.get(p, np.zeros_like(p.data)) for p in members],
                                       axis=None, dtype=dtype)
-                for p, (_, span, shape) in zip(members, spans):
+                for p, (span, shape) in zip(members, spans):
                     state[p] = flat[span].reshape(shape)
                 flats.append(flat)
             self.groups.append((members, spans, flats))
         self.params = params
-        self.views = []        # until rebind hands them out
-
-    def rebind(self, new):
-        """Make new, one flat array per dtype in the order of arrays(), the
-        parameters' data: each p.data becomes a reshaped view of it."""
-        views = [None] * len(self.params)
-        for (members, spans, flats), data in zip(self.groups, new):
-            flats[0] = data
-            for p, (i, span, shape) in zip(members, spans):
-                views[i] = p.data = data[span].reshape(shape)
-        self.views = views
+        self.views = []        # until every rule has run, so a rule that raises re-packs
 
 
 class SGD:
-    """Plain gradient descent, w <- w - lr * g, on flat arrays (see _Flat)."""
+    """Plain gradient descent, w <- w - lr * g: one _Flat.update call."""
 
     def __init__(self, lr=0.01):
         self.lr = _positive("lr", lr)
         self._flat = _Flat()
 
     def step(self, params):
-        self._flat.rebind([data - self.lr * g for data, g in self._flat.arrays(params)])
+        self._flat.update(params, lambda data, g: data - self.lr * g)
 
 
 class Adam:
@@ -171,10 +167,11 @@ class Adam:
         m += (g - m) * (1 - beta1);  v += (g * g - v) * (1 - beta2)
         p.data = p.data - lr * (m / c1) / (sqrt(v / c2) + eps)
 
-    The moments are updated in place, and p.data is rebound to a new array,
-    never written. Each ufunc runs once per dtype over all parameters: the
-    parameters, their gradients and their moments are flat arrays, and
-    _m[p] and _v[p] views into the flat moments (see _Flat).
+    A step is one _Flat.update call with this formula as its rule, so each
+    ufunc runs once per dtype over all parameters, and _m[p] and _v[p] are
+    views into the flat moments. The moments are updated in place, and
+    p.data is rebound to a new array, never written. step_count advances
+    only once the update is done: a refused step changes nothing.
     """
 
     def __init__(self, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-7):
@@ -189,17 +186,17 @@ class Adam:
         self._flat = _Flat(self._m, self._v)
 
     def step(self, params):
-        groups = self._flat.arrays(params)
-        self.step_count += 1
-        t = self.step_count
+        t = self.step_count + 1
         a1, a2 = 1.0 - self.beta1, 1.0 - self.beta2
         c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        new = []
-        for data, g, m, v in groups:
+
+        def rule(data, g, m, v):
             m += (g - m) * a1
             v += (g * g - v) * a2
-            new.append(data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps))
-        self._flat.rebind(new)
+            return data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+        self._flat.update(params, rule)
+        self.step_count = t
 
 
 @dataclass

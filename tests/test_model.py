@@ -616,3 +616,107 @@ class TestPooledForward:
         model = Sequential([HyperConv2D(1, (2, 2)), GlobalMaxPool()], seed=1)
         model.predict(np.ones((1, 3, 3, 4)))
         assert calls == [False, True]
+
+
+def _edited_golden(tmp_path, name, edit):
+    """The path of a copy of golden file name, its document changed by edit."""
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set_blob(index, values):
+    def edit(doc):
+        shape = np.frombuffer(base64.b64decode(doc["weights"][index]), "<f8").shape
+        blob = np.full(shape, 0.5, dtype="<f8")
+        blob.flat[:len(values)] = values
+        doc["weights"][index] = base64.b64encode(blob.tobytes()).decode("ascii")
+    return edit
+
+
+class TestLoadRefusesNonFiniteWeights:
+    """A blob must be finite in its layer's dtype: a NaN, an Inf or a value
+    beyond float32's range in a float32 layer is refused by index, with no
+    RuntimeWarning, before any weight is made."""
+
+    @pytest.mark.parametrize("name,index,value,dtype", [
+        ("v1_dense_nonunital", 1, np.nan, "float64"),
+        ("v1_dense_nonunital", 0, np.inf, "float64"),
+        ("v1_dense_nonunital", 3, -np.inf, "float64"),
+        ("v1_conv_f32", 2, 1e300, "float32"),
+        ("v1_conv_f32", 0, -1e39, "float32"),
+        ("v1_conv_f32", 1, np.nan, "float32"),
+    ])
+    def test_blob_not_finite_in_the_layer_dtype_is_refused(
+            self, tmp_path, monkeypatch, name, index, value, dtype):
+        def refuse(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(L, "glorot_uniform", refuse)
+        path = _edited_golden(tmp_path, name, _set_blob(index, [value]))
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"malformed model file {path}: parameter blob {index} holds a value "
+                f"that is not finite in {dtype}")):
+            load_model(path)
+
+    def test_largest_finite_float32_loads_into_a_float32_layer(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = _edited_golden(tmp_path, "v1_conv_f32", _set_blob(2, [top, -top]))
+        weights = load_model(path).layers[2].weights.data
+        assert weights.dtype == np.float32
+        assert weights.flat[0] == np.finfo(np.float32).max
+        assert weights.flat[1] == -np.finfo(np.float32).max
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_a_non_finite_parameter_and_writes_nothing(self, tmp_path, value):
+        model = xor_model(seed=9)
+        model.predict(XOR_X)
+        path = tmp_path / "model.json"
+        path.write_text("kept")
+        model.layers[2].weights.data[0, 0] = value
+        with pytest.raises(ValueError, match=re.escape("parameter 2 holds NaN or Inf")):
+            save_model(model, path)
+        assert path.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestShapeRecordsFollowTheIntRule:
+    """A shape record is refused, naming its key, unless it is an int >= 0
+    (in_elems, in_width) or a non-empty list of them (in_shape)."""
+
+    @pytest.mark.parametrize("name,layer,key,value", [
+        ("v1_dense_nonunital", 0, "in_elems", True),
+        ("v1_dense_nonunital", 0, "in_elems", 2.0),
+        ("v1_dense_nonunital", 0, "in_elems", [2]),
+        ("v1_dense_nonunital", 0, "in_elems", -1),
+        ("v1_dense_nonunital", 0, "in_elems", "2"),
+        ("v1_dense_nonunital", 2, "in_width", 4.0),
+        ("v1_dense_nonunital", 2, "in_width", False),
+        ("v1_dense_nonunital", 1, "in_shape", 6),
+        ("v1_dense_nonunital", 1, "in_shape", []),
+        ("v1_dense_nonunital", 1, "in_shape", [6.0]),
+        ("v1_conv_f32", 0, "in_shape", [5, 5.0, 4]),
+        ("v1_conv_f32", 0, "in_shape", [5, 5, True]),
+        ("v1_conv_f32", 1, "in_shape", [3, -3, 8]),
+        ("v1_conv_f32", 1, "in_shape", [[3], 3, 8]),
+    ])
+    def test_refused_naming_the_key(self, tmp_path, name, layer, key, value):
+        def edit(doc):
+            doc["layers"][layer]["config"][key] = value
+
+        path = _edited_golden(tmp_path, name, edit)
+        form = "a non-empty list of ints" if key == "in_shape" else "an int"
+        with pytest.raises(ModelLoadError, match=re.escape(
+                f"malformed model file {path}: {key} must be {form} >= 0, "
+                f"got {value!r}")):
+            load_model(path)
+
+    def test_a_zero_width_record_written_by_save_loads(self, tmp_path):
+        model = Sequential([Flatten()], seed=1)
+        model.predict(np.zeros((2, 3, 0)))
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.layers[0].in_shape == (3, 0)
+        assert loaded.predict(np.zeros((1, 3, 0))).shape == (1, 0)

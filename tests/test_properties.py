@@ -851,3 +851,46 @@ class TestOneRealRule:
     @pytest.mark.parametrize("v", EDGE_SCALARS, ids=repr)
     def test_every_table_spelling_and_adam_agree_on_edges(self, v):
         self.check(v)
+
+
+# JSON values a shape record could hold: ints of every size, the other
+# scalar types, and lists of those, nested too
+json_scalars = st.one_of(file_ints, st.booleans(), st.none(), st.text(max_size=2),
+                         st.floats(allow_nan=False, allow_infinity=False))
+json_records = st.one_of(json_scalars, st.lists(json_scalars, max_size=4),
+                         st.lists(st.lists(file_ints, max_size=2), max_size=2))
+# (golden file, layer index, shape key) for every shape record the two files hold
+SHAPE_RECORDS = [("v1_dense_nonunital", 0, "in_elems"), ("v1_dense_nonunital", 1, "in_shape"),
+                 ("v1_dense_nonunital", 2, "in_width"), ("v1_conv_f32", 0, "in_shape"),
+                 ("v1_conv_f32", 1, "in_shape"), ("v1_conv_f32", 2, "in_width")]
+
+
+def follows_int_rule(key, value):
+    """True for an absent record, an int >= 0 (in_elems, in_width) or a
+    non-empty list of them (in_shape); JSON gives no numpy ints."""
+    entries = value if key == "in_shape" else [value]
+    return value is None or (isinstance(entries, list) and bool(entries) and all(
+        type(e) is int and e >= 0 for e in entries))
+
+
+class TestShapeRecordProperties:
+    @settings(max_examples=150)
+    @given(st.sampled_from(SHAPE_RECORDS), json_records)
+    def test_a_record_is_refused_by_key_or_loads_with_int_shapes(
+            self, tmp_path_factory, where, value):
+        name, index, key = where
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        doc["layers"][index]["config"][key] = value
+        path = tmp_path_factory.mktemp("record") / "model.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_model(path)
+        except ModelLoadError as exc:
+            assert str(path) in str(exc)
+            if not follows_int_rule(key, value):
+                assert f"{path}: {key} must be " in str(exc)
+            return
+        assert follows_int_rule(key, value)
+        for layer in model.layers:
+            if layer.built:
+                assert all(type(d) is int for d in (*layer.in_shape, *layer.out_shape))

@@ -426,6 +426,73 @@ class TestFlatOptimizerState:
                 opt.step([a, a])
             npt.assert_array_equal(a.data, np.ones(3))
 
+class TestRefusedStepChangesNothing:
+    """A step refused for a missing gradient, a gradient of another shape or
+    a parameter listed twice leaves every p.data, Adam's step_count and its
+    moments as they were, on the first step and on a later one, and the
+    next good step is the one a never-refused optimizer takes."""
+
+    REFUSALS = {
+        "missing gradient": (RuntimeError, "no gradient"),
+        "gradient of another shape": (ShapeError, "does not match parameter shape"),
+        "listed twice": (ValueError, "appears more than once"),
+    }
+
+    @staticmethod
+    def make_params():
+        return [Tensor(np.arange(3.0), requires_grad=True),
+                Tensor(np.ones((2, 2)), requires_grad=True, dtype=np.float32),
+                Tensor(np.array(0.5), requires_grad=True)]
+
+    @staticmethod
+    def set_grads(params, k):
+        for i, p in enumerate(params):
+            p.grad = np.full(p.data.shape, 0.25 * (i + 1) - 0.1 * k, dtype=p.data.dtype)
+
+    @staticmethod
+    def state(opt, params):
+        state = [(p.data, p.data.tobytes()) for p in params]
+        if isinstance(opt, Adam):
+            state.append(opt.step_count)
+            for moments in (opt._m, opt._v):
+                state.append({id(p): m.tobytes() for p, m in moments.items()})
+        return state
+
+    @pytest.mark.parametrize("make_opt", [lambda: SGD(lr=0.1), lambda: Adam(lr=0.1)],
+                             ids=["sgd", "adam"])
+    @pytest.mark.parametrize("before", [0, 2], ids=["first step", "later step"])
+    @pytest.mark.parametrize("refusal", sorted(REFUSALS))
+    def test_refused_step_changes_nothing(self, make_opt, before, refusal):
+        params, twin_params = self.make_params(), self.make_params()
+        opt, twin = make_opt(), make_opt()
+        for k in range(before):
+            for ps, o in ((params, opt), (twin_params, twin)):
+                self.set_grads(ps, k)
+                o.step(ps)
+        self.set_grads(params, before)
+        listed = params
+        if refusal == "missing gradient":
+            params[1].grad = None
+        elif refusal == "gradient of another shape":
+            params[1].grad = np.ones(4, dtype=np.float32)
+        else:
+            listed = [params[0], params[1], params[2], params[0]]
+        kept = self.state(opt, params)
+        error, message = self.REFUSALS[refusal]
+        with pytest.raises(error, match=message):
+            opt.step(listed)
+        now = self.state(opt, params)
+        for (data, raw), (data_now, raw_now) in zip(kept[:3], now[:3]):
+            assert data_now is data and raw_now == raw
+        assert now[3:] == kept[3:]
+        for ps, o in ((params, opt), (twin_params, twin)):
+            self.set_grads(ps, before)
+            o.step(ps)
+        for p, q in zip(params, twin_params):
+            assert p.data.dtype == q.data.dtype
+            assert p.data.tobytes() == q.data.tobytes()
+
+
 def linear_probe_model(seed=0):
     return Sequential([Dense(1), Activation("sigmoid")], seed=seed)
 
