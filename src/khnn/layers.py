@@ -11,7 +11,9 @@ dense layer, HyperDense or Dense, runs its product, bias and activation as
 one tensor.linear node, and a HyperConv its conv op, then one
 tensor.add_bias node with its activation. The conv op is conv_nd, or with
 pooled=True, which Sequential sets for a conv followed by GlobalMaxPool,
-conv_global_max_pool. The Activation layer runs the tensor op of its name.
+conv_global_max_pool. The Activation layer runs the tensor op of its name,
+except directly after a weighted layer with no activation of its own:
+Sequential then records the activation in that layer's tail node.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -129,7 +131,9 @@ class Layer:
 class _Affine(Layer):
     """A layer computing activation(linear(x) + bias): a dense layer runs
     it as one tensor.linear node, a conv as its conv op and one
-    tensor.add_bias node that applies the activation too.
+    tensor.add_bias node that applies the activation too. With no
+    activation of its own and an Activation layer after it in a
+    Sequential, that activation joins this tail node.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -371,14 +375,16 @@ class Activation(Layer):
 
 
 class GlobalMaxPool(Layer):
-    """Global max over all spatial axes, (B, S.., C) -> (B, C)."""
+    """Global max over all spatial axes, (B, S.., C) -> (B, C).
+
+    Each spatial axis and C must be >= 1; an empty one is a ShapeError
+    naming the layer and the shape.
+    """
 
     file_tag = "global_max_pool"
 
     def output_shape(self, in_shape):
-        if len(in_shape) < 2:
-            raise ShapeError(f"GlobalMaxPool needs spatial axes, got trailing "
-                             f"shape {tuple(in_shape)}")
+        T._check_pool_shape(in_shape, batch=False)
         return (in_shape[-1],)
 
     def forward(self, x):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
+from . import tensor as T
 from .algebra import algebra_from_doc, algebra_to_doc, read_json, write_atomic
 from .tensor import ShapeError, Tensor, no_grad
 
@@ -66,8 +67,16 @@ class ModelSummary:
 class Sequential:
     """Ordered stack of layers, all built in one pass at the first forward.
 
-    Each entry must be a Layer, and seed None or an int >= 0. A hyper conv
-    directly followed by GlobalMaxPool runs as forward(x, pooled=True).
+    Each entry must be a Layer, and seed None or an int >= 0. forward
+    runs two adjacent layers as one where it can, with the values and
+    gradients of the two run apart, bit for bit:
+    - a hyper conv directly followed by GlobalMaxPool runs as the conv's
+      forward(x, pooled=True), one conv_global_max_pool node;
+    - any other weighted layer (HyperDense, Dense or an unpooled conv) with
+      no activation of its own, directly followed by an Activation, runs
+      its forward, and tensor._fold_activation records that activation in
+      the layer's tail node (linear or add_bias); the Activation layer
+      records no node of its own.
     """
 
     def __init__(self, layers=None, seed=None):
@@ -105,11 +114,16 @@ class Sequential:
         layers, i = self.layers, 0
         while i < len(layers):
             layer = layers[i]
-            # conv then pool in one op, which never holds the conv output
-            pooled = (isinstance(layer, L._HyperConv) and i + 1 < len(layers)
-                      and isinstance(layers[i + 1], L.GlobalMaxPool))
-            x = layer.forward(x, pooled=True) if pooled else layer.forward(x)
-            i += 1 + pooled
+            after = layers[i + 1] if i + 1 < len(layers) else None
+            if isinstance(layer, L._HyperConv) and isinstance(after, L.GlobalMaxPool):
+                # conv then pool in one op, which never holds the conv output
+                x, i = layer.forward(x, pooled=True), i + 2
+            elif (isinstance(layer, L._Affine) and layer.activation is None
+                  and isinstance(after, L.Activation)):
+                # the Activation runs in the layer's own tail node
+                x, i = T._fold_activation(layer.forward(x), after.activation), i + 2
+            else:
+                x, i = layer.forward(x), i + 1
         return x
 
     def _input_shapes(self, shape):

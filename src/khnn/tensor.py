@@ -15,7 +15,9 @@ convolution pooled to one value per channel) and the loss
 ``binary_cross_entropy`` are single operations with their own backward
 rule, one tape node each, not chains of generic ones. ``linear`` and
 ``add_bias`` share one bias-and-activation rule, and ``_ACTIVATION_RULES``
-is the one table of activations. The loss's backward is the closed form
+is the one table of activations. ``_fold_activation`` records an activation
+in the node of the linear or add_bias output it acts on, for a model's
+Activation layer directly after a weighted layer with none of its own. The loss's backward is the closed form
 of its clip/log chain.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import numbers
 from contextlib import contextmanager
 
@@ -186,24 +189,27 @@ def _wrap(x):
 def _result(data, parents, backward):
     """An op's output as a tensor, on the tape if any parent requires grad.
 
-    An op's own float output skips _coerce: a numpy scalar from a full
-    reduction becomes a 0-d array. Anything else, such as the output of an
-    op given a complex or object scalar operand, goes through _coerce,
-    which refuses it.
+    parents is a tuple. An op's own float output skips _coerce: a numpy
+    scalar from a full reduction becomes a 0-d array. Anything else, such
+    as the output of an op given a complex or object scalar operand, goes
+    through _coerce, which refuses it.
     """
-    data = np.asarray(data)
+    if type(data) is not np.ndarray:
+        data = np.asarray(data)
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype.char in "fd" else _coerce(data)
     out.grad = None
     out._seq = next(_creation_order)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
     return out
 
 
@@ -354,6 +360,21 @@ def add_bias(x, bias, activation=None):
     return _result(out, (x, bias), lambda g: tail(g))
 
 
+def _fold_activation(out, activation):
+    """activation(out) recorded in out's own node, not in a node of its own.
+
+    out is the output of linear or add_bias with no activation, consumed by
+    nothing else. The result takes out's parents, and its backward runs the
+    activation's rule and then out's, so the tape holds one node where the
+    two ops hold two. Value and gradients equal those of tanh(out) or
+    sigmoid(out) bit for bit, and so those of out's op given the activation:
+    each runs _tail's numpy operations in the same order on the same arrays.
+    """
+    y, rule = _ACTIVATION_RULES[activation](out.data)
+    backward = out._backward
+    return _result(y, out._parents, lambda g: backward(rule(g)))
+
+
 def log(x):
     x = _wrap(x)
     return _result(np.log(x.data), (x,), lambda g: (g / x.data,))
@@ -383,7 +404,8 @@ def binary_cross_entropy(pred, target, eps):
     x, y = pred.data, target.data
     lo, hi = eps, 1.0 - eps
     p = np.minimum(np.maximum(x, lo), hi)    # np.clip's values, NaN kept, in two ufuncs
-    q, y_off = -p + 1.0, -y + 1.0       # 1 - p and 1 - y, as neg then add
+    # a - b is a + (-b) exactly, so these equal the chain's neg then add
+    q, y_off = 1.0 - p, 1.0 - y
     terms = y * np.log(p) + y_off * np.log(q)
     # terms.mean() as np.mean runs it: one pairwise sum, then the division.
     # np.mean divides by an intp, so a float32 sum is divided in float64
@@ -395,8 +417,9 @@ def binary_cross_entropy(pred, target, eps):
         # the mean's gradient: one scalar in terms' dtype, as np.full_like
         # would fill an array with it
         s = terms.dtype.type(-g / terms.size)
-        # the walk reaches the log(1 - p) branch first
-        dp = -((s * y_off) / q) + (s * y) / p
+        # the walk reaches the log(1 - p) branch first; its share is negated
+        # and added, which is this subtraction exactly, as addition commutes
+        dp = (s * y) / p - (s * y_off) / q
         # p == x exactly where lo <= x <= hi: where clip passes the gradient
         return (dp * (p == x),)
 
@@ -450,13 +473,22 @@ def flatten(x):
     return reshape(x, (x.data.shape[0], -1))
 
 
+def _check_pool_shape(shape, batch=True):
+    """A pool input, (B, S1..Sd, C), or its trailing shape where not batch,
+    needs d >= 1 and each S and C >= 1; B may be 0."""
+    trailing = shape[1:] if batch else shape
+    if len(trailing) < 2 or 0 in trailing:
+        raise ShapeError(f"GlobalMaxPool needs spatial axes and channels, each of "
+                         f"size >= 1, got {'input' if batch else 'trailing'} shape "
+                         f"{tuple(shape)}")
+
+
 def global_max_pool(x):
     """Max over the spatial axes of (B, S1..Sd, C); ties route to the first max."""
     x = _wrap(x)
-    if x.data.ndim < 3:
-        raise ShapeError(f"global_max_pool needs (B, spatial..., C), got {x.data.shape}")
+    _check_pool_shape(x.data.shape)
     b, c = x.data.shape[0], x.data.shape[-1]
-    flat = x.data.reshape(b, -1, c)
+    flat = x.data.reshape(b, math.prod(x.data.shape[1:-1]), c)
     # one pass: the max is read off at the argmax the backward needs
     idx = flat.argmax(axis=1)
     out = np.take_along_axis(flat, idx[:, None], axis=1)[:, 0]

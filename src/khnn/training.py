@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,16 +109,19 @@ class _Flat:
         may appear once; a list refused for either changes nothing.
         """
         params = list(params)
-        for p in params:
+        # one pass checks each gradient and whether the list still matches
+        # the views last handed out; None once it does not
+        views = self.views if len(params) == len(self.views) else None
+        for i, p in enumerate(params):
             g = p.grad
             if g is None:
                 raise RuntimeError("parameter has no gradient; run backward first")
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match "
                                  f"parameter shape {p.data.shape}")
-        if len(params) != len(self.views) or any(
-                p is not q or p.data is not view
-                for p, q, view in zip(params, self.params, self.views)):
+            if views is not None and (p is not self.params[i] or p.data is not views[i]):
+                views = None
+        if views is None:
             self._pack(params)
         for members, spans, flats in self.groups:
             grad = np.concatenate([p.grad for p in members], axis=None)
@@ -295,20 +299,22 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
                              f"{type(validation).__name__}{size}")
     count = x.shape[0]
     step = batch_size or count
-    bounds = [(i, min(i + step, count)) for i in range(0, count, step)]
+    # each batch's input and target, as tensors viewing x and y, made once per fit
+    batches = [(lo, hi, Tensor(x[lo:hi]), Tensor(y[lo:hi]))
+               for lo, hi in ((i, min(i + step, count)) for i in range(0, count, step))]
 
     history = TrainHistory()
     params = None
+    preds = np.zeros(y.shape)   # every row is written each epoch
     for epoch in range(epochs):
         total = 0.0
-        preds = np.zeros(y.shape)
-        for lo, hi in bounds:
-            out = model.forward(Tensor(x[lo:hi]))
+        for lo, hi, xb, yb in batches:
+            out = model.forward(xb)
             _check_target(out, y)
-            loss = loss_fn(out, Tensor(y[lo:hi]))
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(
-                    f"loss became {float(loss.data)} at epoch {epoch + 1}")
+            loss = loss_fn(out, yb)
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"loss became {value} at epoch {epoch + 1}")
             if params is None:   # the first step: the model is built, no weight moved
                 params = model.params()
                 if validation is not None:
@@ -319,7 +325,7 @@ def fit(model, x, y, epochs, optimizer, loss_fn=bce_loss,
             loss.backward()
             optimizer.step(params)
             zero_grad(params)
-            total += float(loss.data) * (hi - lo)
+            total += value * (hi - lo)
             preds[lo:hi] = out.data
         history.loss.append(total / count)
         history.accuracy.append(accuracy(preds, y))

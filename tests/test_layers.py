@@ -220,6 +220,51 @@ class TestHelperLayers:
         npt.assert_array_equal(out.data, [[4.0]])
 
 
+EMPTY_POOL = r"GlobalMaxPool needs spatial axes and channels, each of size >= 1, got "
+
+
+class TestGlobalMaxPoolEmptyAxes:
+    """An input with a zero-size spatial or channel axis is refused, naming the
+    layer and the shape, before numpy's argmax or reshape sees it."""
+
+    SHAPES = [(2, 0, 3), (2, 3, 0), (2, 4, 0, 3), (1, 2, 2, 0), (1, 0, 0)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_alone(self, shape):
+        trailing = re.escape(f"trailing shape {shape[1:]}")
+        with pytest.raises(ShapeError, match=r"^cannot connect input to GlobalMaxPool "
+                                             r"\(layer 0\): " + EMPTY_POOL + trailing + "$"):
+            Sequential([GlobalMaxPool()], seed=0).predict(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_after_a_layer(self, shape):
+        model = Sequential([Activation("tanh"), GlobalMaxPool()], seed=0)
+        with pytest.raises(ShapeError, match=r"^cannot connect Activation to GlobalMaxPool "
+                                             r"\(layer 1\): " + EMPTY_POOL):
+            model.predict(np.zeros(shape))
+        assert not model.built
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_called_alone(self, shape):
+        with pytest.raises(ShapeError, match="^" + EMPTY_POOL + "trailing shape"):
+            GlobalMaxPool()(Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_built_model_and_op(self, shape):
+        # a built model checks no shape for a weightless layer: the op refuses
+        model = Sequential([GlobalMaxPool()], seed=0)
+        model.predict(np.ones((1, 2, 3)))
+        message = "^" + EMPTY_POOL + re.escape(f"input shape {shape}") + "$"
+        with pytest.raises(ShapeError, match=message):
+            model.predict(np.zeros(shape))
+        with pytest.raises(ShapeError, match=message):
+            T.global_max_pool(Tensor(np.zeros(shape), requires_grad=True))
+
+    def test_empty_batch_pools_to_an_empty_batch(self):
+        out = Sequential([GlobalMaxPool()], seed=0).predict(np.zeros((0, 3, 2)))
+        assert out.shape == (0, 2)
+
+
 class TestSizeArguments:
     @pytest.mark.parametrize("make,name", [
         (lambda: HyperDense(2.5), "units"),

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import re
 import tracemalloc
 from pathlib import Path
@@ -183,6 +184,43 @@ class TestConvPoolFusion:
         model = Sequential([conv, GlobalMaxPool()])
         assert model.forward(Tensor(np.ones((1, 5, 6, 4)))).data.shape == (1, 8)
         assert model.layers[1].in_shape == (4, 5, 8)
+
+
+class TestActivationFold:
+    def test_dense_then_activation_records_one_node(self):
+        model = xor_model(seed=1)
+        out = model.forward(Tensor(XOR_X))
+        # expand_blocks, then one node per dense layer and its Activation
+        assert len(tape_ops(out)) == 3
+        assert "tanh" not in tape_ops(out) and "sigmoid" not in tape_ops(out)
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda act: Dense(2, activation=act), (4, 2)),
+        (lambda act: HyperDense(1, algebra="complex", activation=act), (4, 2)),
+        (lambda act: L.HyperConv1D(1, 2, algebra="complex", activation=act), (1, 4, 2)),
+    ], ids=["Dense", "HyperDense", "HyperConv1D"])
+    def test_a_layer_with_its_own_activation_is_not_folded(self, make, shape):
+        # both activations apply: the layer's tanh in its own node, then a
+        # sigmoid node, as a plain layer, Activation("tanh") and
+        # Activation("sigmoid") give (the same seed draws the same weights)
+        x = Tensor(np.linspace(-1.0, 1.0, math.prod(shape)).reshape(shape))
+        model = Sequential([make("tanh"), Activation("sigmoid")], seed=2)
+        twin = Sequential([make(None), Activation("tanh"), Activation("sigmoid")], seed=2)
+        out, twin_out = model.forward(x), twin.forward(x)
+        ops = tape_ops(out)
+        assert ops.count("sigmoid") == 1 and "tanh" not in ops
+        assert len(tape_ops(twin_out)) == len(ops)
+        assert out.data.tobytes() == twin_out.data.tobytes()
+        tanh_out = model.layers[0].forward(x).data
+        npt.assert_array_equal(out.data, T.sigmoid(tanh_out).data)
+        assert not np.array_equal(out.data, T.sigmoid(np.arctanh(tanh_out)).data)
+
+    def test_activation_without_a_weighted_layer_before_it_is_its_own_node(self):
+        model = Sequential([Flatten(), Activation("tanh"), Dense(1),
+                            Activation("sigmoid"), Activation("tanh")], seed=3)
+        ops = tape_ops(model.forward(Tensor(np.ones((2, 3, 2)), requires_grad=True)))
+        # Flatten's reshape, the first tanh, the Dense with its sigmoid, the last tanh
+        assert ops.count("tanh") == 2 and "sigmoid" not in ops and len(ops) == 4
 
 
 class TestSummary:

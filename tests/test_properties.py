@@ -476,6 +476,71 @@ class TestConvPoolFusion:
 
 
 @st.composite
+def fold_cases(draw):
+    """(model, x): a HyperDense, Dense or HyperConv1D with no activation of its
+    own, an Activation, and maybe a Dense head; built, with drawn biases."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    kind = draw(st.sampled_from(["HyperDense", "Dense", "HyperConv1D"]))
+    n = 1
+    if kind == "Dense":
+        layer = Dense(draw(st.integers(1, 4)), dtype=dtype)
+        shape = (draw(st.integers(1, 5)),)
+    else:
+        algebra = predefined(draw(st.sampled_from(predefined_names())))
+        n = algebra.dim
+        if kind == "HyperDense":
+            layer = HyperDense(draw(st.integers(1, 3)), algebra=algebra, dtype=dtype)
+            shape = (draw(st.integers(1, 3)) * n,)
+        else:
+            padding = draw(st.sampled_from(["valid", "same"]))
+            ksize = draw(st.integers(1, 3))
+            length = draw(st.integers(ksize if padding == "valid" else 1, 6))
+            layer = HyperConv1D(draw(st.integers(1, 2)), ksize, algebra=algebra,
+                                stride=draw(st.integers(1, 2)), padding=padding, dtype=dtype)
+            shape = (length, draw(st.integers(1, 2)) * n)
+    head = draw(st.booleans())
+    tail = ([Flatten()] if kind == "HyperConv1D" else []) + [Dense(1, dtype=dtype)]
+    activation = draw(st.sampled_from(["tanh", "sigmoid"]))
+    model = Sequential([layer, Activation(activation), *(tail if head else [])],
+                       seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # at 100, sigmoid's exponent is clamped in float32
+    scale = draw(st.sampled_from([0.01, 1.0, 3.0, 100.0]))
+    x = (rng.standard_normal((draw(st.integers(1, 3)), *shape)) * scale).astype(dtype)
+    model.predict(x)
+    for layer in model.layers:
+        if layer.params():
+            layer.bias.data = rng.standard_normal(layer.bias.data.shape).astype(dtype)
+    return model, x
+
+
+class TestActivationFold:
+    @settings(max_examples=100)
+    @given(fold_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_equals_the_layers_one_by_one_bit_for_bit(self, case, x_records, seed):
+        # Sequential runs the layer and the Activation after it as one node
+        model, x = case
+        x = Tensor(x, requires_grad=x_records)
+        leaves = [x, *model.params()]
+        folded = model.forward(x)
+        chain = x
+        for layer in model.layers:
+            chain = layer.forward(chain)
+        assert len(tape_nodes(folded)) == len(tape_nodes(chain)) - 1
+        assert bits_differ(folded.data, chain.data) == ""
+        weights = np.random.default_rng(seed).uniform(0.5, 1.5, folded.data.shape)
+        names = ["x.grad"] + [f"param {i}" for i in range(len(leaves) - 1)]
+        for name, got, want in zip(names, leaf_grads(folded, leaves, weights),
+                                   leaf_grads(chain, leaves, weights)):
+            if want is None:
+                assert got is None and name == "x.grad" and not x_records
+                continue
+            assert bits_differ(got, want) == "", (
+                f"{name}: {bits_differ(got, want)} for {[l.name for l in model.layers]}, "
+                f"{model.layers[1].activation}, dtype {x.data.dtype}")
+
+
+@st.composite
 def model_cases(draw):
     """(model, x): a hyper-layer stack, built or not, and an input for it."""
     algebra = draw(st.one_of(layer_algebras,

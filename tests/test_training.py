@@ -9,7 +9,7 @@ import pytest
 from khnn.algebra import predefined
 from khnn.cli import _xor_model
 from khnn.datasets import XOR_X, XOR_Y
-from khnn.layers import Activation, Dense, HyperDense
+from khnn.layers import Activation, Dense, GlobalMaxPool, HyperConv2D, HyperDense
 from khnn.model import Sequential
 from khnn.tensor import ShapeError, Tensor
 from khnn.training import (
@@ -70,13 +70,15 @@ class TestBceLoss:
                 todo.extend(t._parents)
         return nodes
 
-    def test_one_xor_training_step_records_six_tape_nodes(self):
-        # expand_blocks, linear, tanh, linear, sigmoid and the loss: each
-        # dense layer is one node, each Activation layer its own
+    def test_one_xor_training_step_records_four_tape_nodes(self):
+        # expand_blocks, linear with the tanh, linear with the sigmoid and
+        # the loss: each dense layer is one node, and the Activation layer
+        # after it runs inside that node rather than as a node of its own
         model = _xor_model(predefined("quaternions"), 42)
         loss = bce_loss(model.forward(Tensor(XOR_X)), Tensor(XOR_Y))
-        assert len(self.recorded_nodes(loss)) == 6
-        assert loss._parents[0]._backward is not None      # the sigmoid's node
+        assert len(self.recorded_nodes(loss)) == 4
+        dense = loss._parents[0]                # the Dense's node, sigmoid inside
+        assert dense._parents[1:] == (model.layers[2].weights, model.layers[2].bias)
 
     def test_one_octonion_training_step_records_six_tape_nodes(self):
         # the float32 octonion model of the dense benchmark: expand_blocks
@@ -91,6 +93,24 @@ class TestBceLoss:
         y = np.zeros((8, 1), dtype=np.float32)
         loss = bce_loss(model.forward(Tensor(x)), Tensor(y))
         assert len(self.recorded_nodes(loss)) == 6
+
+    def test_one_synth_training_step_records_five_tape_nodes(self):
+        # the train-synth-images model: expand_blocks, conv_global_max_pool
+        # and add_bias for the conv and its pool, linear with the sigmoid
+        # for the Dense and its Activation, and the loss
+        model = Sequential([HyperConv2D(8, (3, 3), algebra="quaternions"), GlobalMaxPool(),
+                            Dense(1), Activation("sigmoid")], seed=43)
+        x = Tensor(np.random.default_rng(0).standard_normal((4, 6, 6, 4)))
+        loss = bce_loss(model.forward(x), Tensor(np.zeros((4, 1))))
+        assert len(self.recorded_nodes(loss)) == 5
+        conv, _, dense, _ = model.layers
+        head = loss._parents[0]              # the Dense's node, sigmoid inside
+        assert head._parents[1:] == (dense.weights, dense.bias)
+        tail = head._parents[0]              # the conv's add_bias
+        assert tail._parents[1] is conv.bias
+        pooled = tail._parents[0]            # conv_global_max_pool
+        assert pooled._parents[0] is x
+        assert pooled._parents[1]._parents == (conv.weights,)   # expand_blocks
 
     def test_gradient_matches_closed_form(self):
         # d/dp of the mean BCE is (p - y) / (p (1 - p) B)
