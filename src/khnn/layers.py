@@ -13,7 +13,8 @@ tensor.add_bias node with its activation. The conv op is conv_nd, or with
 pooled=True, which Sequential sets for a conv followed by GlobalMaxPool,
 conv_global_max_pool. The Activation layer runs the tensor op of its name,
 except directly after a weighted layer with no activation of its own:
-Sequential then records the activation in that layer's tail node.
+Sequential then runs that layer's _run(x, activation), so the activation
+joins the layer's own tail node.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -131,9 +132,10 @@ class Layer:
 class _Affine(Layer):
     """A layer computing activation(linear(x) + bias): a dense layer runs
     it as one tensor.linear node, a conv as its conv op and one
-    tensor.add_bias node that applies the activation too. With no
-    activation of its own and an Activation layer after it in a
-    Sequential, that activation joins this tail node.
+    tensor.add_bias node that applies the activation too. Each subclass
+    lowers in _run(x, activation). forward runs it with the layer's own
+    activation; a Sequential runs a layer that has none with the activation
+    of the Activation layer after it.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -187,6 +189,9 @@ class _Affine(Layer):
             cause = str(exc)
         raise ShapeError(f"{self.name} built for input {self.in_shape}, "
                          f"got input shape {x.data.shape}: {cause}")
+
+    def forward(self, x):
+        return self._run(x, self.activation)
 
     def params(self):
         return [self.weights, self.bias] if self.built else []
@@ -246,10 +251,10 @@ class HyperDense(_Affine):
                              f"of algebra dim {n}")
         return (self.units, width // n, n), (self.units * n,)
 
-    def forward(self, x):
+    def _run(self, x, activation):
         self._check_input(x)
         return T.linear(x, assemble_block_matrix(self.weights, self.algebra),
-                        self.bias, self.activation)
+                        self.bias, activation)
 
     def config(self):
         elems = self.in_shape[0] // self.algebra.dim if self.built else None
@@ -305,11 +310,14 @@ class _HyperConv(_Affine):
         layer-by-layer chain then routes the gradient to the first of
         them, the pooled path to the larger z.
         """
+        return self._run(x, self.activation, pooled)
+
+    def _run(self, x, activation, pooled=False):
         self._check_input(x)
         kernel = assemble_conv_kernel(self.weights, self.algebra)
         conv = T.conv_global_max_pool if pooled else T.conv_nd
         return T.add_bias(conv(x, kernel, stride=self.stride, padding=self.padding),
-                          self.bias, self.activation)
+                          self.bias, activation)
 
     def config(self):
         return {"filters": self.filters, "kernel_size": self.kernel_size,
@@ -347,9 +355,9 @@ class Dense(_Affine):
         """A (width, units) weight matrix and a units-wide bias."""
         return (self._flat_width(in_shape), self.units), (self.units,)
 
-    def forward(self, x):
+    def _run(self, x, activation):
         self._check_input(x)
-        return T.linear(x, self.weights, self.bias, self.activation)
+        return T.linear(x, self.weights, self.bias, activation)
 
     def config(self):
         return {"units": self.units, "activation": self.activation,

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from . import tensor as T
 from .algebra import algebra_from_doc, algebra_to_doc, read_json, write_atomic
 from .tensor import ShapeError, Tensor, no_grad
 
@@ -74,8 +73,8 @@ class Sequential:
       forward(x, pooled=True), one conv_global_max_pool node;
     - any other weighted layer (HyperDense, Dense or an unpooled conv) with
       no activation of its own, directly followed by an Activation, runs
-      its forward, and tensor._fold_activation records that activation in
-      the layer's tail node (linear or add_bias); the Activation layer
+      as the layer's _run(x, activation), so the activation joins the
+      layer's own tail node (linear or add_bias); the Activation layer
       records no node of its own.
     """
 
@@ -121,7 +120,7 @@ class Sequential:
             elif (isinstance(layer, L._Affine) and layer.activation is None
                   and isinstance(after, L.Activation)):
                 # the Activation runs in the layer's own tail node
-                x, i = T._fold_activation(layer.forward(x), after.activation), i + 2
+                x, i = layer._run(x, after.activation), i + 2
             else:
                 x, i = layer.forward(x), i + 1
         return x

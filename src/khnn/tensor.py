@@ -15,9 +15,7 @@ convolution pooled to one value per channel) and the loss
 ``binary_cross_entropy`` are single operations with their own backward
 rule, one tape node each, not chains of generic ones. ``linear`` and
 ``add_bias`` share one bias-and-activation rule, and ``_ACTIVATION_RULES``
-is the one table of activations. ``_fold_activation`` records an activation
-in the node of the linear or add_bias output it acts on, for a model's
-Activation layer directly after a weighted layer with none of its own. The loss's backward is the closed form
+is the one table of activations. The loss's backward is the closed form
 of its clip/log chain.
 
 Shape rules are strict. Elementwise operations accept equal shapes or a
@@ -360,21 +358,6 @@ def add_bias(x, bias, activation=None):
     return _result(out, (x, bias), lambda g: tail(g))
 
 
-def _fold_activation(out, activation):
-    """activation(out) recorded in out's own node, not in a node of its own.
-
-    out is the output of linear or add_bias with no activation, consumed by
-    nothing else. The result takes out's parents, and its backward runs the
-    activation's rule and then out's, so the tape holds one node where the
-    two ops hold two. Value and gradients equal those of tanh(out) or
-    sigmoid(out) bit for bit, and so those of out's op given the activation:
-    each runs _tail's numpy operations in the same order on the same arrays.
-    """
-    y, rule = _ACTIVATION_RULES[activation](out.data)
-    backward = out._backward
-    return _result(y, out._parents, lambda g: backward(rule(g)))
-
-
 def log(x):
     x = _wrap(x)
     return _result(np.log(x.data), (x,), lambda g: (g / x.data,))
@@ -470,7 +453,8 @@ def flatten(x):
     x = _wrap(x)
     if x.data.ndim < 2:
         raise ShapeError(f"flatten needs a batch axis, got shape {x.data.shape}")
-    return reshape(x, (x.data.shape[0], -1))
+    # an explicit width: numpy cannot infer -1 from a zero batch
+    return reshape(x, (x.data.shape[0], math.prod(x.data.shape[1:])))
 
 
 def _check_pool_shape(shape, batch=True):
@@ -702,7 +686,8 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
     pooled = np.empty((c_out, batch), dtype=xp.dtype)
     idx = np.empty((c_out, batch), dtype=np.intp)
-    step = min(max(1, _POOL_BLOCK_ROWS // positions), batch)
+    # a step of at least 1, even for a zero batch, whose loop then runs no block
+    step = max(1, min(_POOL_BLOCK_ROWS // positions, batch))
     row = np.arange(c_out * step)
     # one im2col buffer per call, filled block by block: a fresh copy per
     # block cost page faults whenever the allocator handed it back to the OS

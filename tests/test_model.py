@@ -117,6 +117,19 @@ class TestForward:
         assert not any(layer.built for layer in model.layers)
         assert model._seed_seq is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: [Flatten(), Dense(1)],
+        lambda: [L.HyperConv1D(1, 2, algebra="complex"), Flatten(), Dense(1)],
+        lambda: [L.HyperConv1D(1, 2, algebra="complex"), GlobalMaxPool(), Dense(1)],
+    ], ids=["flatten", "conv-flatten", "conv-pool"])
+    @pytest.mark.parametrize("built_first", [False, True], ids=["built-on-it", "built-before"])
+    def test_a_zero_batch_predicts_an_empty_array(self, make, built_first):
+        model, x = Sequential(make(), seed=0), np.zeros((0, 4, 2))
+        if built_first:
+            model.predict(np.ones((2, 4, 2)))
+        out = model.predict(x)
+        assert out.shape == (0, 1) and out.dtype == np.float64
+
     def test_add_appends(self):
         model = Sequential()
         model.add(Dense(2))
@@ -193,6 +206,26 @@ class TestActivationFold:
         # expand_blocks, then one node per dense layer and its Activation
         assert len(tape_ops(out)) == 3
         assert "tanh" not in tape_ops(out) and "sigmoid" not in tape_ops(out)
+
+    @pytest.mark.parametrize("make,x,ops", [
+        (xor_model, XOR_X, ["expand_blocks", "linear", "linear"]),
+        # the train-synth-images model
+        (lambda: Sequential([HyperConv2D(8, (3, 3)), GlobalMaxPool(), Dense(1),
+                             Activation("sigmoid")], seed=4),
+         np.ones((2, 6, 6, 4)), ["add_bias", "conv_global_max_pool", "expand_blocks",
+                                 "linear"]),
+        (lambda: Sequential([HyperConv2D(2, (2, 2)), Activation("tanh"), GlobalMaxPool(),
+                             Dense(1), Activation("sigmoid")], seed=4),
+         np.ones((2, 4, 4, 4)), ["add_bias", "conv_nd", "expand_blocks", "global_max_pool",
+                                 "linear"]),
+    ], ids=["xor", "synth", "conv-activation-pool"])
+    def test_each_node_is_made_and_named_by_its_op(self, monkeypatch, make, x, ops):
+        # one _result call per node: no node is built and then rebuilt
+        model, calls, result = make(), [], T._result
+        monkeypatch.setattr(T, "_result", lambda *args: calls.append(args) or result(*args))
+        out = model.forward(Tensor(x))
+        assert tape_ops(out) == ops
+        assert len(calls) == len(ops)
 
     @pytest.mark.parametrize("make,shape", [
         (lambda act: Dense(2, activation=act), (4, 2)),
@@ -641,13 +674,13 @@ class TestConstructionChecks:
 class TestPooledForward:
     def test_model_runs_a_conv_before_a_pool_as_its_pooled_forward(self, monkeypatch):
         calls = []
-        forward = L._HyperConv.forward
+        run = L._HyperConv._run
 
-        def spy(self, x, pooled=False):
+        def spy(self, x, activation, pooled=False):
             calls.append(pooled)
-            return forward(self, x, pooled=pooled)
+            return run(self, x, activation, pooled=pooled)
 
-        monkeypatch.setattr(L._HyperConv, "forward", spy)
+        monkeypatch.setattr(L._HyperConv, "_run", spy)
         model = Sequential([HyperConv2D(1, (2, 2)), Activation("tanh"), GlobalMaxPool()],
                            seed=1)
         model.predict(np.ones((1, 3, 3, 4)))
