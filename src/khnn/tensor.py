@@ -30,6 +30,8 @@ import heapq
 import itertools
 import math
 import numbers
+import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -666,6 +668,90 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
 # a block comes out channels first, (C_out, b*P), and is pooled along its rows
 _POOL_BLOCK_ROWS = 800
 
+# conv_global_max_pool hands the second half of its chunks (two blocks each)
+# to a helper thread only from this many chunks on; below it the handoff
+# can cost more than the helper's half saves. On a 2-core VM a 3x3 conv
+# from 4 to 32 channels gained from 2 chunks on, but one from 1 to 4
+# channels, or a 1-D one, lost up to 6 chunks and gained from 8
+_SPLIT_MIN_CHUNKS = 8
+
+# the one helper thread's executor, made at the first split call
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _forget_helper():
+    # a forked child has none of its parent's threads, so a job handed to
+    # the parent's executor would never run there
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _two_cpus():
+    """Whether this process may run on at least two CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _pool_helper():
+    """The executor of the one helper thread, made at first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="khnn-conv-pool")
+        return _helper
+
+
+def _pool_chunks(windows, kmat, positions, step, starts, pooled, idx):
+    """Conv and pool the chunks of two blocks that begin at the images in starts.
+
+    A chunk's patches are copied in one call and each of its blocks runs
+    its own GEMM, of the same operands and shape as in an unchunked loop,
+    into one buffer; one argmax and one take then pool both blocks. The
+    flat pooled and idx are block-major: the block at image lo holds its
+    (C_out, b) results from C_out*lo on. Each call makes its own scratch,
+    once rather than per chunk (a fresh copy per block cost page faults
+    whenever the allocator handed it back to the OS), so calls over
+    disjoint starts may run at once.
+    """
+    batch, kc, c_out = len(windows), len(kmat), kmat.shape[1]
+    chunk = 2 * step
+    buf = np.empty((chunk, *windows.shape[1:]), dtype=windows.dtype)
+    z = np.empty(c_out * chunk * positions, dtype=pooled.dtype)
+    base = np.arange(c_out * chunk) * positions      # each z row's first entry
+    at = np.empty(c_out * chunk, dtype=np.intp)
+    for lo in starts:
+        n = min(chunk, batch - lo)
+        np.copyto(buf[:n], windows[lo:lo + n])
+        for b in range(0, n, step):
+            e = min(b + step, n)
+            cols = buf[b:e].reshape(-1, kc)
+            np.matmul(kmat.T, cols.T,
+                      out=z[c_out * b * positions:c_out * e * positions].reshape(c_out, -1))
+        rows = c_out * n
+        win = idx[c_out * lo:c_out * (lo + n)]
+        z[:rows * positions].reshape(rows, positions).argmax(axis=1, out=win)
+        np.add(base[:rows], win, out=at[:rows])
+        # every index is in range; "clip" spares take the bounds check and
+        # the copy of its out that the default "raise" makes
+        np.take(z, at[:rows], out=pooled[c_out * lo:c_out * (lo + n)], mode="clip")
+
+
+def _unblock(flat, c_out, batch, step):
+    """The (C_out, B) C-contiguous array of _pool_chunks' block-major results."""
+    out = np.empty((c_out, batch), dtype=flat.dtype)
+    full = batch - batch % step
+    out[:, :full] = (flat[:c_out * full].reshape(full // step, c_out, step)
+                     .transpose(1, 0, 2).reshape(c_out, full))
+    out[:, full:] = flat[c_out * full:].reshape(c_out, batch - full)
+    return out
+
 
 def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     """global_max_pool(conv_nd(x, kernel, stride, padding)) as one operation.
@@ -679,28 +765,37 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     global_max_pool. The backward touches only the B*C_out winning
     positions: the kernel gradient gathers their patches, and the input
     gradient scatters the matching kernel columns back over them.
+
+    The blocks go in chunks of two. When the process may run on two
+    CPUs and there are enough chunks, one helper thread, made at the
+    first such call, pools the second half of the chunks while the
+    caller pools the first; restricting the CPU affinity to one CPU
+    keeps the op on the calling thread. Each block's GEMM is the same
+    either way, so the output is bit for bit the same.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     xp, windows, kmat, stride, out_spatial, inner = _lowering(x, kernel, stride, padding)
     ksize, c_out = kernel.data.shape[:-2], kmat.shape[1]
     batch, positions = xp.shape[0], int(np.prod(out_spatial))
-    pooled = np.empty((c_out, batch), dtype=xp.dtype)
-    idx = np.empty((c_out, batch), dtype=np.intp)
-    # a step of at least 1, even for a zero batch, whose loop then runs no block
+    # a step of at least 1, even for a zero batch, which then has no chunk
     step = max(1, min(_POOL_BLOCK_ROWS // positions, batch))
-    row = np.arange(c_out * step)
-    # one im2col buffer per call, filled block by block: a fresh copy per
-    # block cost page faults whenever the allocator handed it back to the OS
-    buf = np.empty((step, *windows.shape[1:]), dtype=windows.dtype)
-    for lo in range(0, batch, step):
-        block = buf[:min(step, batch - lo)]
-        np.copyto(block, windows[lo:lo + step])
-        cols = block.reshape(-1, len(kmat))
-        z = (kmat.T @ cols.T).astype(xp.dtype, copy=False).reshape(-1, positions)
-        at = z.argmax(axis=1)
-        pooled[:, lo:lo + step] = z[row[:len(z)], at].reshape(c_out, -1)
-        idx[:, lo:lo + step] = at.reshape(c_out, -1)
-    pooled, idx = pooled.T, idx.T
+    starts = range(0, batch, 2 * step)
+    # the block-major maxima and their positions, filled by _pool_chunks
+    flat = np.empty(c_out * batch, dtype=xp.dtype), np.empty(c_out * batch, dtype=np.intp)
+    args = windows, kmat, positions, step
+    if len(starts) >= _SPLIT_MIN_CHUNKS and _two_cpus():
+        half = (len(starts) + 1) // 2
+        job = _pool_helper().submit(_pool_chunks, *args, starts[half:], *flat)
+        try:
+            _pool_chunks(*args, starts[:half], *flat)
+        finally:
+            job.exception()     # waits: both halves stop before anything is raised
+        job.result()
+    else:
+        _pool_chunks(*args, starts, *flat)
+    # the (C_out, B) storage, transposed: the GEMM of a Dense after the op
+    # reads this layout, and its bits depend on it
+    pooled, idx = (_unblock(f, c_out, batch, step).T for f in flat)
 
     def backward(g):
         # (b, position) of every channel's maximum, one spatial index array per axis

@@ -1,8 +1,15 @@
 import inspect
 import itertools
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -420,6 +427,208 @@ class TestConvGlobalMaxPoolBlocks:
             outside = np.ones(x.shape, dtype=bool)
             outside[(slice(None), *(slice(0, k) for k in ksize))] = False
             assert (fused[1][outside] == 0).all()
+
+
+def _force_pool_path(monkeypatch, split):
+    """Make conv_global_max_pool take the split path at any batch, or never."""
+    monkeypatch.setattr(T, "_two_cpus", lambda: split)
+    monkeypatch.setattr(T, "_SPLIT_MIN_CHUNKS", 0)
+
+
+def _spy_pool_chunks(monkeypatch):
+    """A list that gets (thread name, starts, idx) of every _pool_chunks call."""
+    calls, real = [], T._pool_chunks
+
+    def spy(*args):
+        calls.append((threading.current_thread().name, args[-3], args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(T, "_pool_chunks", spy)
+    return calls
+
+
+class TestConvGlobalMaxPoolSplit:
+    """The helper-thread path of conv_global_max_pool against its serial path."""
+
+    @staticmethod
+    def run(monkeypatch, split, x, kernel, stride=1, padding="valid"):
+        """(output, block-major idx, x.grad, kernel.grad, _pool_chunks calls) on one path."""
+        with monkeypatch.context() as m:
+            _force_pool_path(m, split)
+            calls = _spy_pool_chunks(m)
+            xt, kt = Tensor(x, requires_grad=True), Tensor(kernel, requires_grad=True)
+            out = T.conv_global_max_pool(xt, kt, stride=stride, padding=padding)
+        if len(x):
+            weights = np.random.default_rng(1).uniform(0.5, 1.5, out.data.shape)
+            T.tensor_sum(T.mul(out, Tensor(weights, dtype=x.dtype))).backward()
+        return out.data, calls[0][2], xt.grad, kt.grad, calls
+
+    def both_paths(self, monkeypatch, x, kernel, **options):
+        serial = self.run(monkeypatch, False, x, kernel, **options)
+        split = self.run(monkeypatch, True, x, kernel, **options)
+        assert {name for name, *_ in serial[-1]} == {threading.current_thread().name}
+        for got, want in zip(split[:-1], serial[:-1]):
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        return serial, split
+
+    @pytest.mark.parametrize("rows", [1, 7, 13])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_matches_serial_bit_for_bit(self, monkeypatch, d, padding, stride,
+                                              dtype, rows):
+        # small blocks make many chunks, and a batch of 23 a ragged last block
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", rows)
+        spatial, ksize = _BLOCK_CASES[d]
+        rng = np.random.default_rng([d, stride, rows])
+        x = rng.standard_normal((23, *spatial, 2)).astype(dtype)
+        kernel = rng.standard_normal((*ksize, 2, 3)).astype(dtype)
+        _, split = self.both_paths(monkeypatch, x, kernel, stride=stride, padding=padding)
+        # the caller's half, then the helper's, which starts where it ends
+        (caller, first, _), (helper, second, _) = sorted(split[-1], key=lambda c: c[1].start)
+        assert caller == threading.current_thread().name != helper
+        assert first.start == 0 and first.stop == second.start and second.stop >= 23
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ties_on_a_constant_input_go_the_same_way(self, monkeypatch, d, dtype):
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
+        spatial, ksize = _BLOCK_CASES[d]
+        x = np.ones((11, *spatial, 2), dtype=dtype)
+        kernel = np.random.default_rng(d).integers(-3, 4, (*ksize, 2, 3)).astype(dtype)
+        self.both_paths(monkeypatch, x, kernel)
+
+    def test_a_zero_batch_gives_the_same_empty_output(self, monkeypatch):
+        x, kernel = np.zeros((0, 6, 6, 2)), np.ones((3, 3, 2, 3))
+        _, split = self.both_paths(monkeypatch, x, kernel)
+        assert split[0].shape == (0, 3) and len(split[-1]) == 2
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_output_is_the_transpose_of_a_c_contiguous_array(self, monkeypatch, split):
+        # the Dense GEMM after the op reads this layout: returning a
+        # C-ordered (B, C_out) array instead moved a 30-epoch synth fit's
+        # Dense bias by 3.1e-15 relative, far inside every tolerance test
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(2)
+        out = self.run(monkeypatch, split, rng.standard_normal((9, 6, 6, 2)),
+                       rng.standard_normal((3, 3, 2, 4)))[0]
+        assert out.shape == (9, 4)
+        assert out.T.flags.c_contiguous and not out.flags.c_contiguous
+
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_an_error_in_one_half_comes_after_both_halves_stop(self, monkeypatch, where):
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(3)
+        x, kernel = rng.standard_normal((12, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
+        stopped, real = [], T._pool_chunks
+
+        def failing(*args):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == (where == "helper"):
+                raise ArithmeticError("injected")
+            time.sleep(0.05)
+            real(*args)
+            stopped.append(True)
+
+        with monkeypatch.context() as m:
+            _force_pool_path(m, True)
+            m.setattr(T, "_pool_chunks", failing)
+            with pytest.raises(ArithmeticError, match="injected"):
+                T.conv_global_max_pool(x, kernel)
+            assert stopped == [True]
+        # the next call works, on either path
+        want = self.run(monkeypatch, False, x, kernel)[0]
+        assert self.run(monkeypatch, True, x, kernel)[0].tobytes() == want.tobytes()
+
+
+class TestConvPoolHelperThread:
+    """The helper thread exists only once a split runs, and survives a fork."""
+
+    def test_import_starts_no_thread_and_imports_no_executor(self):
+        code = ("import sys, threading, khnn; "
+                "assert threading.active_count() == 1, threading.enumerate(); "
+                "assert 'concurrent.futures' not in sys.modules")
+        src = str(Path(T.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_a_dense_fit_starts_no_thread(self):
+        from khnn import Adam, Dense, Sequential, fit
+        before = threading.active_count()
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((64, 16)), rng.integers(0, 2, (64, 1)).astype(float)
+        model = Sequential([HyperDense(2, algebra="octonions", activation="tanh"),
+                            Dense(1), Activation("sigmoid")], seed=0)
+        fit(model, x, y, epochs=2, optimizer=Adam(lr=0.01), batch_size=16)
+        assert threading.active_count() == before
+
+    def test_callers_on_many_threads_share_one_helper(self, monkeypatch):
+        # more callers than cores, switching often and all asking for the
+        # helper at once: each gets the serial result, and one helper is made
+        from concurrent import futures
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(5)
+        x, kernel = rng.standard_normal((24, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
+        want = TestConvGlobalMaxPoolSplit.run(monkeypatch, False, x, kernel)[0].tobytes()
+        made = []
+
+        class Counted(futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)    # a wide window for a second caller to make one too
+                super().__init__(*args, **kwargs)
+
+        _force_pool_path(monkeypatch, True)
+        monkeypatch.setattr(T, "_helper", None)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
+        got = []
+
+        def call():
+            for _ in range(20):
+                got.append(T.conv_global_max_pool(x, kernel).data.tobytes())
+
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 120
+        assert made == [T._helper]
+        made[0].shutdown()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_a_forked_child_runs_a_split(self, monkeypatch):
+        monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
+        _force_pool_path(monkeypatch, True)
+        rng = np.random.default_rng(4)
+        x, kernel = rng.standard_normal((16, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
+        T.conv_global_max_pool(x, kernel)           # the parent's helper now exists
+        with warnings.catch_warnings():
+            # Python 3.12 warns that forking a process with threads may deadlock
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child = multiprocessing.get_context("fork").Process(
+                target=T.conv_global_max_pool, args=(x, kernel))
+            child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=30)
+        assert child.exitcode == 0
 
 
 class TestBackward:
