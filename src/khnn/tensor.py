@@ -26,12 +26,12 @@ axis). Arrays are float64 by default; float32 is allowed for speed.
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
 import math
 import numbers
 import os
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -668,27 +668,13 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
 # a block comes out channels first, (C_out, b*P), and is pooled along its rows
 _POOL_BLOCK_ROWS = 800
 
-# conv_global_max_pool hands the second half of its chunks (two blocks each)
-# to a helper thread only from this many chunks on; below it the handoff
-# can cost more than the helper's half saves. On a 2-core VM a 3x3 conv
-# from 4 to 32 channels gained from 2 chunks on, but one from 1 to 4
-# channels, or a 1-D one, lost up to 6 chunks and gained from 8
+# conv_global_max_pool shares its chunks (two blocks each) with a thread of
+# its own only from this many chunks on; below it, starting the thread can
+# cost more than the thread saves. On a 2-core VM, as split over serial
+# time: a 3x3 conv from 4 to 32 channels read 0.89-0.91 at 2 chunks; one
+# from 1 to 4 channels 1.10-1.12 at 4 and 0.94-0.96 at 8; a 1-D one from
+# 4 to 16 channels (kernel 5) 1.18-1.19 at 4 and 0.97-0.99 at 8
 _SPLIT_MIN_CHUNKS = 8
-
-# the one helper thread's executor, made at the first split call
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _forget_helper():
-    # a forked child has none of its parent's threads, so a job handed to
-    # the parent's executor would never run there
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _two_cpus():
@@ -698,16 +684,6 @@ def _two_cpus():
     return (os.cpu_count() or 1) >= 2
 
 
-def _pool_helper():
-    """The executor of the one helper thread, made at first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            from concurrent.futures import ThreadPoolExecutor
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="khnn-conv-pool")
-        return _helper
-
-
 def _pool_chunks(windows, kmat, positions, step, starts, pooled, idx):
     """Conv and pool the chunks of two blocks that begin at the images in starts.
 
@@ -715,10 +691,10 @@ def _pool_chunks(windows, kmat, positions, step, starts, pooled, idx):
     its own GEMM, of the same operands and shape as in an unchunked loop,
     into one buffer; one argmax and one take then pool both blocks. The
     flat pooled and idx are block-major: the block at image lo holds its
-    (C_out, b) results from C_out*lo on. Each call makes its own scratch,
-    once rather than per chunk (a fresh copy per block cost page faults
-    whenever the allocator handed it back to the OS), so calls over
-    disjoint starts may run at once.
+    (C_out, b) results from C_out*lo on, whichever call pooled it. Each
+    call makes its own scratch, once rather than per chunk (a fresh copy
+    per block cost page faults whenever the allocator handed it back to
+    the OS), so two calls may draw their starts from one iterator at once.
     """
     batch, kc, c_out = len(windows), len(kmat), kmat.shape[1]
     chunk = 2 * step
@@ -741,6 +717,16 @@ def _pool_chunks(windows, kmat, positions, step, starts, pooled, idx):
         # every index is in range; "clip" spares take the bounds check and
         # the copy of its out that the default "raise" makes
         np.take(z, at[:rows], out=pooled[c_out * lo:c_out * (lo + n)], mode="clip")
+
+
+def _pool_kept(done, raised, *args):
+    """_pool_chunks(*args) on a helper thread: keep what it raises, then release done."""
+    try:
+        _pool_chunks(*args)
+    except BaseException as error:
+        raised.append(error)
+    finally:
+        done.release()
 
 
 def _unblock(flat, c_out, batch, step):
@@ -767,11 +753,11 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     gradient scatters the matching kernel columns back over them.
 
     The blocks go in chunks of two. When the process may run on two
-    CPUs and there are enough chunks, one helper thread, made at the
-    first such call, pools the second half of the chunks while the
-    caller pools the first; restricting the CPU affinity to one CPU
-    keeps the op on the calling thread. Each block's GEMM is the same
-    either way, so the output is bit for bit the same.
+    CPUs and there are enough chunks, a helper thread started for the
+    call pools chunks beside the caller, each thread taking the next
+    chunk not yet taken; restricting the CPU affinity to one CPU keeps
+    the op on the calling thread. Each block's GEMM is the same either
+    way, so the output is bit for bit the same.
     """
     x, kernel = _wrap(x), _wrap(kernel)
     xp, windows, kmat, stride, out_spatial, inner = _lowering(x, kernel, stride, padding)
@@ -782,17 +768,30 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
     starts = range(0, batch, 2 * step)
     # the block-major maxima and their positions, filled by _pool_chunks
     flat = np.empty(c_out * batch, dtype=xp.dtype), np.empty(c_out * batch, dtype=np.intp)
-    args = windows, kmat, positions, step
+    # one iterator of chunks for both threads, each taking the next chunk
+    # when it is free, so a helper that starts late or shares its core
+    # takes fewer; next() on it is atomic under the GIL
+    args = windows, kmat, positions, step, iter(starts), *flat
+    done, raised = None, []
     if len(starts) >= _SPLIT_MIN_CHUNKS and _two_cpus():
-        half = (len(starts) + 1) // 2
-        job = _pool_helper().submit(_pool_chunks, *args, starts[half:], *flat)
+        done = _thread.allocate_lock()
+        done.acquire()
         try:
-            _pool_chunks(*args, starts[:half], *flat)
-        finally:
-            job.exception()     # waits: both halves stop before anything is raised
-        job.result()
-    else:
-        _pool_chunks(*args, starts, *flat)
+            # not threading.Thread, whose start() waits until the new thread
+            # runs: with the other core busy, a call at synth's shape then
+            # took 0.5-1.8 ms longer
+            _thread.start_new_thread(_pool_kept, (done, raised, *args))
+        except RuntimeError:
+            # no thread starts at interpreter shutdown (Python 3.12 on) or
+            # past the OS's thread limit; the caller then pools every chunk
+            done = None
+    try:
+        _pool_chunks(*args)
+    finally:
+        if done is not None:
+            done.acquire()      # both threads stop before anything is raised
+    if raised:
+        raise raised[0]
     # the (C_out, B) storage, transposed: the GEMM of a Dense after the op
     # reads this layout, and its bits depend on it
     pooled, idx = (_unblock(f, c_out, batch, step).T for f in flat)

@@ -436,11 +436,11 @@ def _force_pool_path(monkeypatch, split):
 
 
 def _spy_pool_chunks(monkeypatch):
-    """A list that gets (thread name, starts, idx) of every _pool_chunks call."""
+    """A list that gets (thread id, starts, idx) of every _pool_chunks call."""
     calls, real = [], T._pool_chunks
 
     def spy(*args):
-        calls.append((threading.current_thread().name, args[-3], args[-1]))
+        calls.append((threading.get_ident(), args[-3], args[-1]))
         return real(*args)
 
     monkeypatch.setattr(T, "_pool_chunks", spy)
@@ -466,7 +466,7 @@ class TestConvGlobalMaxPoolSplit:
     def both_paths(self, monkeypatch, x, kernel, **options):
         serial = self.run(monkeypatch, False, x, kernel, **options)
         split = self.run(monkeypatch, True, x, kernel, **options)
-        assert {name for name, *_ in serial[-1]} == {threading.current_thread().name}
+        assert {thread for thread, *_ in serial[-1]} == {threading.get_ident()}
         for got, want in zip(split[:-1], serial[:-1]):
             if want is None:
                 assert got is None
@@ -489,10 +489,11 @@ class TestConvGlobalMaxPoolSplit:
         x = rng.standard_normal((23, *spatial, 2)).astype(dtype)
         kernel = rng.standard_normal((*ksize, 2, 3)).astype(dtype)
         _, split = self.both_paths(monkeypatch, x, kernel, stride=stride, padding=padding)
-        # the caller's half, then the helper's, which starts where it ends
-        (caller, first, _), (helper, second, _) = sorted(split[-1], key=lambda c: c[1].start)
-        assert caller == threading.current_thread().name != helper
-        assert first.start == 0 and first.stop == second.start and second.stop >= 23
+        # the caller and one helper thread, drawing from one iterator of chunks
+        chunks = {thread: starts for thread, starts, _ in split[-1]}
+        assert len(chunks) == 2 and threading.get_ident() in chunks
+        first, second = chunks.values()
+        assert first is second and next(first, None) is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -521,14 +522,14 @@ class TestConvGlobalMaxPoolSplit:
         assert out.T.flags.c_contiguous and not out.flags.c_contiguous
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
-    def test_an_error_in_one_half_comes_after_both_halves_stop(self, monkeypatch, where):
+    def test_an_error_in_one_thread_comes_after_both_stop(self, monkeypatch, where):
         monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
         rng = np.random.default_rng(3)
         x, kernel = rng.standard_normal((12, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
         stopped, real = [], T._pool_chunks
 
         def failing(*args):
-            on_helper = threading.current_thread() is not threading.main_thread()
+            on_helper = threading.get_ident() != threading.main_thread().ident
             if on_helper == (where == "helper"):
                 raise ArithmeticError("injected")
             time.sleep(0.05)
@@ -546,69 +547,80 @@ class TestConvGlobalMaxPoolSplit:
         assert self.run(monkeypatch, True, x, kernel)[0].tobytes() == want.tobytes()
 
 
-class TestConvPoolHelperThread:
-    """The helper thread exists only once a split runs, and survives a fork."""
+def _run_python(code):
+    """Run code in a fresh interpreter that imports this tree's khnn."""
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
 
-    def test_import_starts_no_thread_and_imports_no_executor(self):
-        code = ("import sys, threading, khnn; "
-                "assert threading.active_count() == 1, threading.enumerate(); "
-                "assert 'concurrent.futures' not in sys.modules")
-        src = str(Path(T.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env, timeout=60)
+
+# a split on every call, with a serial result to compare it with
+_SPLIT_SETUP = """
+import atexit, threading
+import numpy as np
+from khnn import tensor as T
+T._POOL_BLOCK_ROWS, T._SPLIT_MIN_CHUNKS = 7, 0
+rng = np.random.default_rng(6)
+x, kernel = rng.standard_normal((16, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
+T._two_cpus = lambda: False
+want = T.conv_global_max_pool(x, kernel).data.tobytes()
+T._two_cpus = lambda: True
+
+def split():
+    print(T.conv_global_max_pool(x, kernel).data.tobytes() == want, flush=True)
+"""
+
+
+class TestConvPoolHelperThread:
+    """The helper thread lives for one split call, wherever that call runs."""
+
+    def test_import_starts_no_thread(self):
+        done = _run_python("import _thread, threading, khnn; "
+                           "assert threading.active_count() == 1, threading.enumerate(); "
+                           "assert _thread._count() == 0")
         assert done.returncode == 0, done.stderr
 
-    def test_a_dense_fit_starts_no_thread(self):
+    def test_a_dense_fit_starts_no_thread(self, monkeypatch):
         from khnn import Adam, Dense, Sequential, fit
+        started = []
+        monkeypatch.setattr(T._thread, "start_new_thread", lambda *a: started.append(a))
         before = threading.active_count()
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((64, 16)), rng.integers(0, 2, (64, 1)).astype(float)
         model = Sequential([HyperDense(2, algebra="octonions", activation="tanh"),
                             Dense(1), Activation("sigmoid")], seed=0)
         fit(model, x, y, epochs=2, optimizer=Adam(lr=0.01), batch_size=16)
-        assert threading.active_count() == before
+        assert started == [] and threading.active_count() == before
 
-    def test_callers_on_many_threads_share_one_helper(self, monkeypatch):
-        # more callers than cores, switching often and all asking for the
-        # helper at once: each gets the serial result, and one helper is made
-        from concurrent import futures
+    def test_where_no_thread_starts_the_caller_pools_every_chunk(self, monkeypatch):
+        # Python 3.12 on starts no thread at interpreter shutdown, and
+        # none starts past the OS's thread limit
+        def no_start(*args):
+            raise RuntimeError("can't create new thread at interpreter shutdown")
+
         monkeypatch.setattr(T, "_POOL_BLOCK_ROWS", 7)
-        rng = np.random.default_rng(5)
-        x, kernel = rng.standard_normal((24, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
-        want = TestConvGlobalMaxPoolSplit.run(monkeypatch, False, x, kernel)[0].tobytes()
-        made = []
+        rng = np.random.default_rng(8)
+        x, kernel = rng.standard_normal((16, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
+        serial = TestConvGlobalMaxPoolSplit.run(monkeypatch, False, x, kernel)
+        monkeypatch.setattr(T._thread, "start_new_thread", no_start)
+        split = TestConvGlobalMaxPoolSplit.run(monkeypatch, True, x, kernel)
+        [(thread, chunks, _)] = split[-1]
+        assert thread == threading.get_ident() and next(chunks, None) is None
+        for got, want in zip(split[:-1], serial[:-1]):
+            assert got.tobytes() == want.tobytes()
 
-        class Counted(futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                time.sleep(0.01)    # a wide window for a second caller to make one too
-                super().__init__(*args, **kwargs)
-
-        _force_pool_path(monkeypatch, True)
-        monkeypatch.setattr(T, "_helper", None)
-        monkeypatch.setattr(futures, "ThreadPoolExecutor", Counted)
-        got = []
-
-        def call():
-            for _ in range(20):
-                got.append(T.conv_global_max_pool(x, kernel).data.tobytes())
-
-        callers = [threading.Thread(target=call) for _ in range(6)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert got == [want] * 120
-        assert made == [T._helper]
-        made[0].shutdown()
+    @pytest.mark.parametrize("when", [
+        # a thread still running when the main thread has returned, while
+        # the interpreter shuts down
+        "threading.Thread(target=lambda: (threading.main_thread().join(), split())).start()",
+        # an exit handler, which runs after every thread has been joined
+        "atexit.register(split)",
+    ], ids=["after-main-returns", "at-exit"])
+    def test_a_split_runs_while_the_interpreter_shuts_down(self, when):
+        done = _run_python(_SPLIT_SETUP + when)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
@@ -617,13 +629,10 @@ class TestConvPoolHelperThread:
         _force_pool_path(monkeypatch, True)
         rng = np.random.default_rng(4)
         x, kernel = rng.standard_normal((16, 6, 6, 2)), rng.standard_normal((3, 3, 2, 3))
-        T.conv_global_max_pool(x, kernel)           # the parent's helper now exists
-        with warnings.catch_warnings():
-            # Python 3.12 warns that forking a process with threads may deadlock
-            warnings.simplefilter("ignore", DeprecationWarning)
-            child = multiprocessing.get_context("fork").Process(
-                target=T.conv_global_max_pool, args=(x, kernel))
-            child.start()
+        T.conv_global_max_pool(x, kernel)
+        child = multiprocessing.get_context("fork").Process(
+            target=T.conv_global_max_pool, args=(x, kernel))
+        child.start()
         child.join(timeout=30)
         if child.is_alive():
             child.kill()
