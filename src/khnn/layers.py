@@ -9,12 +9,12 @@ as x @ W, and a HyperConv a real kernel with n-times-wider channel blocks.
 Every weighted layer ends in one tape node for its bias and activation: a
 dense layer, HyperDense or Dense, runs its product, bias and activation as
 one tensor.linear node, and a HyperConv its conv op, then one
-tensor.add_bias node with its activation. The conv op is conv_nd, or with
-pooled=True, which Sequential sets for a conv followed by GlobalMaxPool,
-conv_global_max_pool. The Activation layer runs the tensor op of its name,
-except directly after a weighted layer with no activation of its own:
-Sequential then runs that layer's _run(x, activation), so the activation
-joins the layer's own tail node.
+tensor.add_bias node with its activation. A Sequential runs each layer
+through _join(x, after), which also runs the layer after it where the two
+form one node: a HyperConv followed by GlobalMaxPool runs conv_global_max_pool
+in place of conv_nd, and a weighted layer with no activation of its own,
+followed by an Activation, runs that activation in its own tail node.
+Otherwise the Activation layer runs the tensor op of its name.
 
 Output widths follow the units*n / filters*n convention: a layer with u
 units over an n-dimensional algebra emits u*n real scalars.
@@ -89,6 +89,11 @@ class Layer:
     def forward(self, x):
         raise NotImplementedError
 
+    def _join(self, x, after):
+        """Run on x, and also after (the next layer or None) where the two
+        form one tape node; return the output and the layers run, 1 or 2."""
+        return self.forward(x), 1
+
     def params(self):
         return []
 
@@ -134,8 +139,8 @@ class _Affine(Layer):
     it as one tensor.linear node, a conv as its conv op and one
     tensor.add_bias node that applies the activation too. Each subclass
     lowers in _run(x, activation). forward runs it with the layer's own
-    activation; a Sequential runs a layer that has none with the activation
-    of the Activation layer after it.
+    activation; _join runs a layer that has none with the activation of
+    an Activation layer after it.
 
     The bias spans the output channels, so it gives the output width.
     """
@@ -192,6 +197,11 @@ class _Affine(Layer):
 
     def forward(self, x):
         return self._run(x, self.activation)
+
+    def _join(self, x, after):
+        if self.activation is None and isinstance(after, Activation):
+            return self._run(x, after.activation), 2
+        return super()._join(x, after)
 
     def params(self):
         return [self.weights, self.bias] if self.built else []
@@ -296,13 +306,11 @@ class _HyperConv(_Affine):
                                              self.stride, self.padding)
         return (*out_spatial, width)
 
-    def forward(self, x, pooled=False):
-        """The conv of x, then one add_bias node for the bias and activation.
+    def _join(self, x, after):
+        """A conv followed by GlobalMaxPool runs as one conv_global_max_pool
+        node for conv_nd and global_max_pool, pooling before the bias, so
+        the add_bias node acts on (B, F) only.
 
-        With pooled, GlobalMaxPool().forward of that: the conv node is one
-        conv_global_max_pool for conv_nd and global_max_pool, pooling
-        before the bias, so the add_bias node acts on (B, F) only.
-        Sequential sets it for a conv followed by a pool.
         Pooling first keeps the values: rounding is monotone, so
         max(z + b) == max(z) + b, and tanh and sigmoid are non-decreasing.
         Only the gradient can move, at a tie: rounding in z + b or in the
@@ -310,7 +318,9 @@ class _HyperConv(_Affine):
         layer-by-layer chain then routes the gradient to the first of
         them, the pooled path to the larger z.
         """
-        return self._run(x, self.activation, pooled)
+        if isinstance(after, GlobalMaxPool):
+            return self._run(x, self.activation, pooled=True), 2
+        return super()._join(x, after)
 
     def _run(self, x, activation, pooled=False):
         self._check_input(x)

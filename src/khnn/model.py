@@ -27,7 +27,7 @@ import numpy as np
 
 from . import layers as L
 from .algebra import algebra_from_doc, algebra_to_doc, read_json, write_atomic
-from .tensor import ShapeError, Tensor, no_grad
+from .tensor import ShapeError, _wrap, no_grad
 
 FORMAT_VERSION = 1
 
@@ -67,15 +67,13 @@ class Sequential:
     """Ordered stack of layers, all built in one pass at the first forward.
 
     Each entry must be a Layer, and seed None or an int >= 0. forward
-    runs two adjacent layers as one where it can, with the values and
-    gradients of the two run apart, bit for bit:
-    - a hyper conv directly followed by GlobalMaxPool runs as the conv's
-      forward(x, pooled=True), one conv_global_max_pool node;
-    - any other weighted layer (HyperDense, Dense or an unpooled conv) with
-      no activation of its own, directly followed by an Activation, runs
-      as the layer's _run(x, activation), so the activation joins the
-      layer's own tail node (linear or add_bias); the Activation layer
-      records no node of its own.
+    runs each layer through its _join(x, after), which runs the layer
+    after it too where the two form one tape node, and moves on by the
+    layers it ran. A hyper conv followed by GlobalMaxPool runs one
+    conv_global_max_pool node; another weighted layer with no activation
+    of its own, followed by an Activation, runs that activation in its
+    own tail node (linear or add_bias). Each pair gives the values of its
+    two layers run apart, bit for bit.
     """
 
     def __init__(self, layers=None, seed=None):
@@ -102,8 +100,7 @@ class Sequential:
     def forward(self, x):
         if not self.layers:
             raise RuntimeError("model has no layers")
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
+        x = _wrap(x)
         first = self.layers[0]
         if not self.built:
             self._build(x.data.shape[1:])
@@ -112,17 +109,9 @@ class Sequential:
                              f"{first.name} built for input {first.in_shape} needs one")
         layers, i = self.layers, 0
         while i < len(layers):
-            layer = layers[i]
             after = layers[i + 1] if i + 1 < len(layers) else None
-            if isinstance(layer, L._HyperConv) and isinstance(after, L.GlobalMaxPool):
-                # conv then pool in one op, which never holds the conv output
-                x, i = layer.forward(x, pooled=True), i + 2
-            elif (isinstance(layer, L._Affine) and layer.activation is None
-                  and isinstance(after, L.Activation)):
-                # the Activation runs in the layer's own tail node
-                x, i = layer._run(x, after.activation), i + 2
-            else:
-                x, i = layer.forward(x), i + 1
+            x, used = layers[i]._join(x, after)
+            i += used
         return x
 
     def _input_shapes(self, shape):

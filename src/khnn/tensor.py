@@ -669,11 +669,11 @@ def conv_nd(x, kernel, stride=1, padding="valid"):
 _POOL_BLOCK_ROWS = 800
 
 # conv_global_max_pool shares its chunks (two blocks each) with a thread of
-# its own only from this many chunks on; below it, starting the thread can
-# cost more than the thread saves. On a 2-core VM, as split over serial
-# time: a 3x3 conv from 4 to 32 channels read 0.89-0.91 at 2 chunks; one
-# from 1 to 4 channels 1.10-1.12 at 4 and 0.94-0.96 at 8; a 1-D one from
-# 4 to 16 channels (kernel 5) 1.18-1.19 at 4 and 0.97-0.99 at 8
+# its own only from this many chunks on. train-synth-images' 50-image
+# validation forward has 7 chunks; on a 2-core VM its split read 0.86-1.04
+# of serial time at the default 32 output channels, but 1.00-1.28 at 4-16
+# (--filters 1, 2, 4), where the thread costs more than it saves. A count
+# of chunks cannot serve both widths, and 8 keeps the narrow ones serial
 _SPLIT_MIN_CHUNKS = 8
 
 
@@ -802,7 +802,7 @@ def conv_global_max_pool(x, kernel, stride=1, padding="valid"):
         pos = np.unravel_index(idx, out_spatial)
         dx = dk = None
         if kernel.requires_grad:
-            patches = windows[(rows, *pos)].reshape(batch, c_out, -1)
+            patches = windows[(rows, *pos)].reshape(batch, c_out, len(kmat))
             dk = np.einsum("bcp,bc->pc", patches, g).reshape(kernel.data.shape)
         if x.requires_grad:
             # flat index into xp of every (b, c_out, patch entry) pair

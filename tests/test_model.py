@@ -256,6 +256,25 @@ class TestActivationFold:
         assert ops.count("tanh") == 2 and "sigmoid" not in ops and len(ops) == 4
 
 
+class TestEditedLayerList:
+    @pytest.mark.parametrize("edit", [
+        lambda layers: layers.insert(1, layers.pop(2)),
+        lambda layers: layers.append(Activation("sigmoid")),
+        lambda layers: layers.pop(1),
+        lambda layers: setattr(layers[0], "activation", "tanh"),
+    ], ids=["swap", "append", "remove-activation", "own-activation"])
+    def test_a_built_model_runs_as_a_fresh_one_of_its_layers(self, edit):
+        # each edit changes which layers run as one node
+        model = Sequential([HyperConv2D(2, (2, 2)), Activation("tanh"), GlobalMaxPool(),
+                            Dense(1)], seed=7)
+        x = Tensor(np.linspace(-1.0, 1.0, 2 * 4 * 4 * 4).reshape(2, 4, 4, 4))
+        model.forward(x)
+        edit(model.layers)
+        out, fresh = model.forward(x), Sequential(list(model.layers)).forward(x)
+        assert tape_ops(out) == tape_ops(fresh)
+        assert out.data.tobytes() == fresh.data.tobytes()
+
+
 class TestSummary:
     def test_requires_built_model(self):
         with pytest.raises(RuntimeError, match="unbuilt"):

@@ -541,6 +541,79 @@ class TestActivationFold:
 
 
 @st.composite
+def layer_stacks(draw):
+    """(model, x): an unbuilt stack of layers of every kind and an input of
+    0-3 rows.
+
+    Maybe an Activation; over a spatial input, up to two 1-3-D convs with
+    strides and either padding, then GlobalMaxPool or Flatten; then up to
+    two HyperDense or Dense layers. Each weighted layer may have an
+    activation of its own and may be followed by an Activation, so both
+    fused pairs (conv -> GlobalMaxPool, weighted layer -> Activation) are
+    drawn, as are the same layers run apart.
+    """
+    algebra = predefined(draw(st.sampled_from(predefined_names())))
+    n = algebra.dim
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    activations = st.sampled_from([None, "tanh", "sigmoid"])
+    d = draw(st.integers(0, 3))          # 0: a flat input
+    shape = in_shape = (*(draw(st.integers(1, 4)) for _ in range(d)),
+                        draw(st.integers(1, 2)) * n)
+    layers = []
+
+    def add(layer, weighted=False):
+        nonlocal shape
+        layers.append(layer)
+        shape = layer.output_shape(shape)
+        if weighted and draw(st.booleans()):
+            add(Activation(draw(st.sampled_from(["tanh", "sigmoid"]))))
+
+    if draw(st.booleans()):
+        add(Activation(draw(st.sampled_from(["tanh", "sigmoid"]))))
+    if d:
+        for _ in range(draw(st.integers(0, 2))):
+            padding = draw(st.sampled_from(["valid", "same"]))
+            widest = 3 if padding == "same" else min(3, *shape[:-1])
+            stride = st.integers(1, 2)
+            add(CONV_BY_D[d](draw(st.integers(1, 2)), draw(st.integers(1, widest)),
+                             algebra=algebra,
+                             stride=draw(st.one_of(stride, st.tuples(*[stride] * d))),
+                             padding=padding, activation=draw(activations), dtype=dtype),
+                weighted=True)
+        add(draw(st.sampled_from([GlobalMaxPool, Flatten]))())
+    for _ in range(draw(st.integers(0 if layers else 1, 2))):
+        if shape[0] % n == 0 and draw(st.booleans()):
+            layer = HyperDense(draw(st.integers(1, 2)), algebra=algebra,
+                               activation=draw(activations), dtype=dtype)
+        else:
+            layer = Dense(draw(st.integers(1, 3)), activation=draw(activations), dtype=dtype)
+        add(layer, weighted=True)
+    model = Sequential(layers, seed=draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(0, 3)), *in_shape)).astype(dtype)
+    return model, x
+
+
+class TestShapeContract:
+    @settings(max_examples=200)
+    @given(layer_stacks())
+    def test_outputs_have_their_stated_shapes_and_x_its_gradient(self, case):
+        model, x = case
+        out = model.predict(x)
+        assert out.dtype == x.dtype and out.shape == (len(x), *model.layers[-1].out_shape)
+        # each prefix ends where a fused pair may be cut or kept whole
+        shape = x.shape[1:]
+        for k, layer in enumerate(model.layers, 1):
+            shape = layer.output_shape(shape)
+            assert layer.out_shape == shape
+            got = Sequential(model.layers[:k]).predict(x)
+            assert got.shape == (len(x), *shape) and got.dtype == x.dtype
+        xt = Tensor(x, requires_grad=True)
+        T.tensor_sum(model.forward(xt)).backward()
+        assert xt.grad.shape == x.shape
+
+
+@st.composite
 def model_cases(draw):
     """(model, x): a hyper-layer stack, built or not, and an input for it."""
     algebra = draw(st.one_of(layer_algebras,

@@ -547,6 +547,18 @@ class TestConvGlobalMaxPoolSplit:
         assert self.run(monkeypatch, True, x, kernel)[0].tobytes() == want.tobytes()
 
 
+class TestConvGlobalMaxPoolZeroBatch:
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_backward_gives_zero_gradients_in_the_operands_shapes(self, monkeypatch, split):
+        _force_pool_path(monkeypatch, split)
+        x = Tensor(np.zeros((0, 6, 6, 2)), requires_grad=True)
+        kernel = Tensor(np.ones((3, 3, 2, 5)), requires_grad=True)
+        out = T.conv_global_max_pool(x, kernel)
+        T.tensor_sum(T.mul(out, Tensor(np.ones((0, 5))))).backward()
+        assert x.grad.shape == (0, 6, 6, 2)
+        npt.assert_array_equal(kernel.grad, np.zeros((3, 3, 2, 5)))
+
+
 def _run_python(code):
     """Run code in a fresh interpreter that imports this tree's khnn."""
     src = str(Path(T.__file__).resolve().parents[1])
